@@ -115,6 +115,12 @@ cargo build --workspace --release --offline
 step "tests (offline)"
 cargo test -q --workspace --offline
 
+step "tests in release (offline)"
+# Every figure and bench is produced by a release build, where the
+# debug oracles are compiled out; the cfg(test) property suites and the
+# allocation-free steady-state checks must hold there too.
+cargo test -q --workspace --release --offline
+
 step "determinism gate: two full Workload 1 runs, bit-identical output"
 cargo test --release --offline --test determinism -- --include-ignored
 
@@ -153,13 +159,11 @@ step "bench gate: scale smoke event counters match the committed baseline"
 bench_diff --gate 2.0 --counters-only \
     "$BASELINE_DIR/BENCH_scale_smoke.json" results/bench/BENCH_scale.json
 
-step "bench gate: sched smoke sweep/prune/elision/tree counters match the committed baseline"
-# The deep-queue round bench's counters (sweep steps per round, pruned
-# fixpoints, driver rounds elided, segment-tree descents and updates)
-# are deterministic; drift means the profile sweeps, the query index,
-# dominance pruning, or round elision changed behavior. In particular
-# tree_descents/* growing toward sweep_steps/* means the index stopped
-# skipping breakpoints even though results stay correct.
+step "bench gate: sched smoke sweep/prune/elision counters match the committed baseline"
+# The deep-queue round bench's counters (profile breakpoints scanned
+# per round, pruned fixpoints, driver rounds elided) are deterministic;
+# drift means the profile scans, the peak-bound shortcut, dominance
+# pruning, or round elision changed behavior.
 # Refresh with 'cargo bench -p iosched-bench --bench sched -- --smoke'
 # + cp to BENCH_sched_smoke.json when intended.
 bench_diff --gate 2.0 --counters-only \
@@ -188,9 +192,10 @@ if [[ $FULL_SCALE -eq 1 ]]; then
     bench_diff --gate 2.0 "$BASELINE_DIR/BENCH_scale.json" results/bench/BENCH_scale.json
 
     step "bench gate (--full-scale): deep-queue rounds within 2x of baseline"
-    # Full sched suite adds the 50k-deep rounds and calibrated timings
-    # for the optimized-vs-batchonly pairs. Refresh the baseline with
-    # 'cargo bench -p iosched-bench --bench sched'.
+    # Full sched suite adds the 50k-deep rounds (round_50k/*, the
+    # depth-scaling gate), the breakpoint x depth grid and calibrated
+    # timings for the optimized-vs-batchonly pairs. Refresh the baseline
+    # with 'cargo bench -p iosched-bench --bench sched'.
     cargo bench --offline -p iosched-bench --bench sched
     bench_diff --gate 2.0 "$BASELINE_DIR/BENCH_sched.json" results/bench/BENCH_sched.json
 

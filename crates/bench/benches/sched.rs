@@ -4,19 +4,17 @@
 //!
 //! Each 5k point is benched twice:
 //!
-//! * `round_5k/{policy}` — the optimized path: batched tracker build,
-//!   overlay reservations at the default compaction threshold, and
-//!   fits-now pruning under a bounded reservation budget (64).
-//! * `round_5k_batchonly/{policy}` — the batched-build-only baseline:
-//!   pruning off and the overlay threshold forced to 0 (compact after
-//!   every reserve, i.e. the old insert-per-reserve cost). The headline
-//!   acceptance criterion is `round_5k ≥ 5×` faster than this baseline.
+//! * `round_5k/{policy}` — the optimized path: fits-now pruning and the
+//!   monotone queue cursor under a bounded reservation budget (64).
+//! * `round_5k_batchonly/{policy}` — the same policy with pruning and
+//!   the cursor off (`BackfillConfig` is the only difference), so every
+//!   queued job pays a full earliest-start probe.
 //!
-//! `round_5k_reserve{,_batchonly}` isolates the overlay win: a free
+//! `round_5k_reserve{,_batchonly}` is a reserve-heavy stress: a free
 //! cluster where every job starts now and reserves a distinct, shuffled
-//! end instant — queries stay trivial while the baseline pays the full
-//! O(k) mid-vector memmove per reserve. `round_50k/*` (full mode only)
-//! stresses queue depth an order of magnitude past the paper setup.
+//! end instant, so every probe fits at once and the timing is the
+//! per-reserve write cost. `round_50k/*` (full mode only) stresses queue
+//! depth an order of magnitude past the paper setup.
 //!
 //! `queue_prep/{policy}` measures wait-queue preparation on a
 //! 50k-resident pending window: the incrementally maintained ordered
@@ -26,23 +24,18 @@
 //! baseline for the non-FIFO policies.
 //!
 //! **Counters** (deterministic, gated by `bench_diff --gate`):
-//! `sweep_steps/round_5k_*` — profile breakpoints visited by one round's
-//! merged sweeps with the segment-tree query index disabled (the
-//! linear-sweep baseline, byte-identical to the pre-index values);
-//! `tree_descents/round_5k_*` and `tree_updates/round_5k_*` — tree
-//! nodes visited per query and point updates / rebuild leaves written
-//! by the same round at the default (indexed) config;
-//! `pruned/round_5k_*` — fixpoints skipped by dominance pruning;
-//! `index_ops/queue_prep_build_50k` and
-//! `walk_steps/queue_prep_*` — ordered-index maintenance and top-k walk
-//! work on the queue-prep window; `rounds_elided/driver_default` and
-//! `sched_passes/driver_default` — round elision on a small blocked-queue
-//! driver run. Full mode adds the same sweep/tree counter pairs at 50k
-//! depth (`*/round_50k_*`, where the tree must visit ≥ 5× fewer
-//! breakpoints — the headline acceptance criterion) and a
-//! breakpoint-count × queue-depth scaling grid (`*/grid_b{B}_q{D}`).
+//! `sweep_steps/round_5k_*` — profile breakpoints scanned by one
+//! optimized round's earliest-start probes; `pruned/round_5k_*` —
+//! fixpoints skipped by dominance pruning in the same round;
+//! `index_ops/queue_prep_build_50k` and `walk_steps/queue_prep_*` —
+//! ordered-index maintenance and top-k walk work on the queue-prep
+//! window; `rounds_elided/driver_default` and
+//! `sched_passes/driver_default` — round elision on a small
+//! blocked-queue driver run. Full mode adds the same counter pairs at
+//! 50k depth (`*/round_50k_*`) and on a breakpoint-count × queue-depth
+//! scaling grid (`*/grid_b{B}_q{D}`).
 //! **Meta** (report-only): `speedup/round_5k_{policy}`,
-//! `speedup/queue_prep_{policy}`, `sweep_reduction/*`.
+//! `speedup/queue_prep_{policy}`.
 
 use iosched_analytics::JobEstimate;
 use iosched_core::{AdaptiveConfig, AdaptivePolicy, EstimateBook, IoAwareConfig, IoAwarePolicy};
@@ -53,8 +46,8 @@ use iosched_simkit::time::{SimDuration, SimTime};
 use iosched_simkit::units::gibps;
 use iosched_slurm::policy::NodePolicy;
 use iosched_slurm::{
-    backfill_pass_into, take_sweep_steps, take_tree_counters, BackfillConfig, PassStats,
-    RunningView, SchedJob, SchedulingOutcome, SchedulingPolicy,
+    backfill_pass_into, take_sweep_steps, BackfillConfig, PassStats, RunningView, SchedJob,
+    SchedulingOutcome, SchedulingPolicy,
 };
 use std::hint::black_box;
 
@@ -149,60 +142,31 @@ fn round<P: SchedulingPolicy>(
     )
 }
 
-/// One counted round pair: a linear-sweep baseline (caller passes a
-/// policy with the query index disabled and the cursor-off config) and
-/// an optimized round at the default config. Records the
-/// `sweep_steps`/`pruned` baseline counters, the
-/// `tree_descents`/`tree_updates` optimized counters, and the
-/// `sweep_reduction` meta ratio; returns `(sweep_steps, tree_descents)`
-/// so callers can assert reduction floors.
-#[allow(clippy::too_many_arguments)]
-fn counted_pair<S: SchedulingPolicy, P: SchedulingPolicy>(
+/// One counted round at `cfg`: records the `sweep_steps` (profile
+/// breakpoints scanned) and `pruned` counters under `label`.
+fn counted_round<P: SchedulingPolicy>(
     suite: &mut BenchSuite,
     label: &str,
-    mut baseline: S,
-    mut optimized: P,
+    mut policy: P,
     views: &[RunningView<'_>],
     refs: &[&SchedJob],
     total_nodes: usize,
-    sweep_cfg: &BackfillConfig,
-    opt_cfg: &BackfillConfig,
-) -> (u64, u64) {
-    let now = SimTime::from_secs(NOW_S);
+    cfg: &BackfillConfig,
+) {
     let mut outcome = SchedulingOutcome::default();
     take_sweep_steps();
-    take_tree_counters();
     let stats = backfill_pass_into(
-        &mut baseline,
+        &mut policy,
         views,
         refs,
-        now,
+        SimTime::from_secs(NOW_S),
         total_nodes,
-        sweep_cfg,
+        cfg,
         &mut outcome,
     );
     assert!(!outcome.start_now.is_empty(), "{label}: head must start");
-    let sweep = take_sweep_steps();
-    suite.counter(&format!("sweep_steps/{label}"), sweep as f64);
+    suite.counter(&format!("sweep_steps/{label}"), take_sweep_steps() as f64);
     suite.counter(&format!("pruned/{label}"), stats.pruned as f64);
-    take_tree_counters();
-    backfill_pass_into(
-        &mut optimized,
-        views,
-        refs,
-        now,
-        total_nodes,
-        opt_cfg,
-        &mut outcome,
-    );
-    assert!(!outcome.start_now.is_empty(), "{label}: head must start");
-    let (descents, updates) = take_tree_counters();
-    suite.counter(&format!("tree_descents/{label}"), descents as f64);
-    suite.counter(&format!("tree_updates/{label}"), updates as f64);
-    let reduction = sweep as f64 / descents.max(1) as f64;
-    suite.meta(&format!("sweep_reduction/{label}"), reduction);
-    println!("sched {label}: {reduction:.1}x fewer breakpoints visited (tree vs sweep)");
-    (sweep, descents)
 }
 
 fn main() {
@@ -230,15 +194,6 @@ fn main() {
         prune_fits_now: false,
         monotone_cursor: false,
     };
-    // Counter-baseline config: the pre-index measurement conditions —
-    // pruning on, monotone cursor off — so `sweep_steps`/`pruned` stay
-    // byte-identical to the values recorded before the query index and
-    // cursor existed.
-    let bounded_sweep = BackfillConfig {
-        max_reservations: BUDGET,
-        prune_fits_now: true,
-        monotone_cursor: false,
-    };
     let unbounded = BackfillConfig::default();
     let unbounded_base = BackfillConfig {
         max_reservations: usize::MAX,
@@ -247,86 +202,49 @@ fn main() {
     };
     let mut outcome = SchedulingOutcome::default();
 
-    // Policy constructors for the optimized and batched-build-only
-    // variants (the baseline compacts the overlay after every reserve —
-    // the old insert-per-reserve cost — routes every query through the
-    // linear sweep, and never prunes).
-    let node = || NodePolicy::default();
-    let node_base = || {
-        let mut p = NodePolicy::default();
-        p.set_overlay_limit(0);
-        p.set_index_enabled(false);
-        p
-    };
-    let io = |base: bool| {
+    // Policy constructors; the batched-build-only baselines differ only
+    // in their `BackfillConfig`.
+    let node = NodePolicy::default;
+    let io = || {
         let mut p = IoAwarePolicy::new(IoAwareConfig { limit_bps: limit });
-        if base {
-            p.set_overlay_limit(0);
-            p.set_index_enabled(false);
-        }
         p.begin_round(book.clone());
         p
     };
-    let adaptive = |base: bool| {
+    let adaptive = || {
         let mut p = AdaptivePolicy::new(AdaptiveConfig::paper(limit));
-        if base {
-            p.set_overlay_limit(0);
-            p.set_index_enabled(false);
-        }
         p.begin_round(book.clone());
         p
     };
 
-    // Deterministic per-round counters (outside the timed loops). Each
-    // policy runs the same bounded-budget 5k round twice: a linear-sweep
-    // baseline (query index and monotone cursor off — the pre-index
-    // measurement conditions, so `sweep_steps`/`pruned` stay
-    // byte-identical to the committed values) and an optimized round at
-    // the default config recording the segment-tree work
-    // (`tree_descents`/`tree_updates`) plus the `sweep_reduction` ratio.
-    {
-        let mut node_sweep = node();
-        node_sweep.set_index_enabled(false);
-        counted_pair(
-            &mut suite,
-            "round_5k_node",
-            node_sweep,
-            node(),
-            &views,
-            &refs_5k,
-            TOTAL_NODES,
-            &bounded_sweep,
-            &bounded,
-        );
-        let mut io_sweep = IoAwarePolicy::new(IoAwareConfig { limit_bps: limit });
-        io_sweep.set_index_enabled(false);
-        io_sweep.begin_round(book.clone());
-        counted_pair(
-            &mut suite,
-            "round_5k_io_aware",
-            io_sweep,
-            io(false),
-            &views,
-            &refs_5k,
-            TOTAL_NODES,
-            &bounded_sweep,
-            &bounded,
-        );
-        let mut ad_sweep = AdaptivePolicy::new(AdaptiveConfig::paper(limit));
-        ad_sweep.set_index_enabled(false);
-        ad_sweep.begin_round(book.clone());
-        counted_pair(
-            &mut suite,
-            "round_5k_adaptive",
-            ad_sweep,
-            adaptive(false),
-            &views,
-            &refs_5k,
-            TOTAL_NODES,
-            &bounded_sweep,
-            &bounded,
-        );
-    }
+    // Deterministic per-round counters (outside the timed loops): one
+    // optimized bounded-budget 5k round per policy.
+    counted_round(
+        &mut suite,
+        "round_5k_node",
+        node(),
+        &views,
+        &refs_5k,
+        TOTAL_NODES,
+        &bounded,
+    );
+    counted_round(
+        &mut suite,
+        "round_5k_io_aware",
+        io(),
+        &views,
+        &refs_5k,
+        TOTAL_NODES,
+        &bounded,
+    );
+    counted_round(
+        &mut suite,
+        "round_5k_adaptive",
+        adaptive(),
+        &views,
+        &refs_5k,
+        TOTAL_NODES,
+        &bounded,
+    );
 
     // Headline pair: bounded-budget rounds, optimized vs batched-only.
     // `time_once` medians (of 3) feed the report-only speedup meta; the
@@ -340,11 +258,11 @@ fn main() {
     };
 
     let mut node_opt = node();
-    let mut node_base_p = node_base();
-    let mut io_opt = io(false);
-    let mut io_base = io(true);
-    let mut ad_opt = adaptive(false);
-    let mut ad_base = adaptive(true);
+    let mut node_base = node();
+    let mut io_opt = io();
+    let mut io_base = io();
+    let mut ad_opt = adaptive();
+    let mut ad_base = adaptive();
 
     let mut speedups: Vec<(&str, f64)> = Vec::new();
     {
@@ -372,7 +290,7 @@ fn main() {
                 round(&mut node_opt, &views, &refs_5k, cfg, out);
             },
             &mut |cfg, out| {
-                round(&mut node_base_p, &views, &refs_5k, cfg, out);
+                round(&mut node_base, &views, &refs_5k, cfg, out);
             },
             &mut suite,
         );
@@ -405,12 +323,10 @@ fn main() {
         println!("sched round_5k/{label}: {speedup:.1}x vs batched-build-only baseline");
     }
 
-    // Overlay isolation: a reserve-heavy round on a free 30k-node
-    // cluster. Every job starts now and reserves [now, now + limit) with
-    // a distinct end instant in shuffled order (limits 600 + (i·37 mod
-    // 5000) s), so sweeps terminate immediately and the timing is the
-    // per-reserve write cost: a bounded-overlay binary insert vs the
-    // baseline's O(k) mid-vector memmove.
+    // Reserve-heavy round on a free 30k-node cluster. Every job starts
+    // now and reserves [now, now + limit) with a distinct end instant in
+    // shuffled order (limits 600 + (i·37 mod 5000) s), so every probe
+    // fits at once and the timing is the per-reserve write cost.
     let reserve_queue: Vec<SchedJob> = (0..5_000u64)
         .map(|i| {
             SchedJob::new(
@@ -441,7 +357,7 @@ fn main() {
         black_box(outcome.start_now.len());
     });
     suite.bench("round_5k_reserve_batchonly/node", || {
-        reserve_round(&mut node_base_p, &unbounded_base, &mut outcome);
+        reserve_round(&mut node_base, &unbounded_base, &mut outcome);
         black_box(outcome.start_now.len());
     });
 
@@ -527,74 +443,51 @@ fn main() {
     }
 
     // 50k-deep rounds: full mode only (an order of magnitude past the
-    // paper's `bf_max_job_test`). The counted sweep/tree pairs carry the
-    // headline acceptance criterion: the segment tree must visit ≥ 5×
-    // fewer breakpoints than the linear sweep at this depth.
+    // paper's `bf_max_job_test`). `ci.sh --full-scale` gates their
+    // timings within 2x of the committed baseline.
     if !suite.is_smoke() {
         let queue_50k = deep_queue(50_000);
         let refs_50k: Vec<&SchedJob> = queue_50k.iter().collect();
         let book_50k = estimate_book(&queue_50k, &running);
-        let mut io_50k = IoAwarePolicy::new(IoAwareConfig { limit_bps: limit });
-        io_50k.begin_round(book_50k.clone());
-        let mut ad_50k = AdaptivePolicy::new(AdaptiveConfig::paper(limit));
-        ad_50k.begin_round(book_50k.clone());
-
-        {
-            let mut node_sweep = node();
-            node_sweep.set_index_enabled(false);
-            let mut io_sweep = IoAwarePolicy::new(IoAwareConfig { limit_bps: limit });
-            io_sweep.set_index_enabled(false);
-            io_sweep.begin_round(book_50k.clone());
-            let mut io_tree = IoAwarePolicy::new(IoAwareConfig { limit_bps: limit });
-            io_tree.begin_round(book_50k.clone());
-            let mut ad_sweep = AdaptivePolicy::new(AdaptiveConfig::paper(limit));
-            ad_sweep.set_index_enabled(false);
-            ad_sweep.begin_round(book_50k.clone());
-            let mut ad_tree = AdaptivePolicy::new(AdaptiveConfig::paper(limit));
-            ad_tree.begin_round(book_50k);
-            let pairs = [
-                counted_pair(
-                    &mut suite,
-                    "round_50k_node",
-                    node_sweep,
-                    node(),
-                    &views,
-                    &refs_50k,
-                    TOTAL_NODES,
-                    &bounded_sweep,
-                    &bounded,
-                ),
-                counted_pair(
-                    &mut suite,
-                    "round_50k_io_aware",
-                    io_sweep,
-                    io_tree,
-                    &views,
-                    &refs_50k,
-                    TOTAL_NODES,
-                    &bounded_sweep,
-                    &bounded,
-                ),
-                counted_pair(
-                    &mut suite,
-                    "round_50k_adaptive",
-                    ad_sweep,
-                    ad_tree,
-                    &views,
-                    &refs_50k,
-                    TOTAL_NODES,
-                    &bounded_sweep,
-                    &bounded,
-                ),
-            ];
-            for (label, (sweep, descents)) in ["node", "io_aware", "adaptive"].iter().zip(pairs) {
-                assert!(
-                    sweep as f64 >= 5.0 * descents as f64,
-                    "round_50k_{label}: tree visited {descents} breakpoints vs \
-                     {sweep} swept — below the 5x acceptance bar"
-                );
-            }
-        }
+        let io_50k = || {
+            let mut p = IoAwarePolicy::new(IoAwareConfig { limit_bps: limit });
+            p.begin_round(book_50k.clone());
+            p
+        };
+        let ad_50k = || {
+            let mut p = AdaptivePolicy::new(AdaptiveConfig::paper(limit));
+            p.begin_round(book_50k.clone());
+            p
+        };
+        counted_round(
+            &mut suite,
+            "round_50k_node",
+            node(),
+            &views,
+            &refs_50k,
+            TOTAL_NODES,
+            &bounded,
+        );
+        counted_round(
+            &mut suite,
+            "round_50k_io_aware",
+            io_50k(),
+            &views,
+            &refs_50k,
+            TOTAL_NODES,
+            &bounded,
+        );
+        counted_round(
+            &mut suite,
+            "round_50k_adaptive",
+            ad_50k(),
+            &views,
+            &refs_50k,
+            TOTAL_NODES,
+            &bounded,
+        );
+        let mut io_50k = io_50k();
+        let mut ad_50k = ad_50k();
 
         suite.bench("round_50k/node", || {
             round(&mut node_opt, &views, &refs_50k, &bounded, &mut outcome);
@@ -612,9 +505,8 @@ fn main() {
         // Breakpoint-count × queue-depth scaling grid: node-policy rounds
         // with B running jobs (≈ 2·B profile breakpoints) against a
         // proportionally sized cluster (5·B busy + 5 free nodes) and a
-        // D-deep queue. Counted sweep/tree pairs show how the reduction
-        // grows with breakpoint count; the timed benches track the
-        // optimized rounds' scaling.
+        // D-deep queue. The counted rounds show how scan work grows with
+        // breakpoint count; the timed benches track the rounds' scaling.
         for &(b, d, dlabel) in &[
             (100u64, 2_000usize, "2k"),
             (100, 10_000, "10k"),
@@ -633,17 +525,13 @@ fn main() {
             let grid_refs: Vec<&SchedJob> = grid_queue.iter().collect();
             let grid_nodes = 5 * b as usize + 5;
             let label = format!("grid_b{b}_q{dlabel}");
-            let mut sweep_p = node();
-            sweep_p.set_index_enabled(false);
-            counted_pair(
+            counted_round(
                 &mut suite,
                 &label,
-                sweep_p,
                 node(),
                 &grid_views,
                 &grid_refs,
                 grid_nodes,
-                &bounded_sweep,
                 &bounded,
             );
             let mut p = node();

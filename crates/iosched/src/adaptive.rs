@@ -110,20 +110,6 @@ impl AdaptivePolicy {
     pub fn config(&self) -> AdaptiveConfig {
         self.cfg
     }
-
-    /// Override the overlay-compaction threshold of the pooled profiles
-    /// (`0` restores compact-on-every-reserve; bench baseline knob).
-    pub fn set_overlay_limit(&mut self, limit: usize) {
-        self.core.set_overlay_limit(limit);
-        self.at.set_overlay_limit(limit);
-    }
-
-    /// Enable or disable the segment-tree query index of the pooled
-    /// profiles (`false` is the linear-sweep bench baseline).
-    pub fn set_index_enabled(&mut self, enabled: bool) {
-        self.core.set_index_enabled(enabled);
-        self.at.set_index_enabled(enabled);
-    }
 }
 
 /// Algorithm 5, lines 3–5 (reconstructed; see DESIGN.md): the target

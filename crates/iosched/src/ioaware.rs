@@ -41,20 +41,6 @@ pub(crate) struct IoAwareCore {
 }
 
 impl IoAwareCore {
-    /// Forward the overlay-compaction override to every pooled profile
-    /// (bench knob; see `ResourceProfile::set_overlay_limit`).
-    pub(crate) fn set_overlay_limit(&mut self, limit: usize) {
-        self.node_policy.set_overlay_limit(limit);
-        self.lt.set_overlay_limit(limit);
-    }
-
-    /// Forward the query-index toggle to every pooled profile (bench
-    /// knob; see `ResourceProfile::set_index_enabled`).
-    pub(crate) fn set_index_enabled(&mut self, enabled: bool) {
-        self.node_policy.set_index_enabled(enabled);
-        self.lt.set_index_enabled(enabled);
-    }
-
     /// Algorithm 2: build the `{NT, LT}` tracker for one round, borrowing
     /// the pooled profiles.
     pub(crate) fn init_tracker<'a>(
@@ -116,18 +102,6 @@ impl IoAwarePolicy {
     /// The current estimate snapshot.
     pub fn book(&self) -> &EstimateBook {
         &self.book
-    }
-
-    /// Override the overlay-compaction threshold of the pooled profiles
-    /// (`0` restores compact-on-every-reserve; bench baseline knob).
-    pub fn set_overlay_limit(&mut self, limit: usize) {
-        self.core.set_overlay_limit(limit);
-    }
-
-    /// Enable or disable the segment-tree query index of the pooled
-    /// profiles (`false` is the linear-sweep bench baseline).
-    pub fn set_index_enabled(&mut self, enabled: bool) {
-        self.core.set_index_enabled(enabled);
     }
 }
 

@@ -186,12 +186,6 @@ pub struct NodePolicy {
     pub license_totals: crate::licenses::LicensePools,
     nodes_scratch: ResourceProfile,
     licenses_scratch: Vec<(String, ResourceProfile)>,
-    /// When set, applied to every pooled profile at round start (bench
-    /// knob; see [`ResourceProfile::set_overlay_limit`]).
-    overlay_limit: Option<usize>,
-    /// When set, applied to every pooled profile at round start (bench
-    /// knob; see [`ResourceProfile::set_index_enabled`]).
-    index_enabled: Option<bool>,
 }
 
 /// Tracker built by [`NodePolicy`]: a node profile plus one profile per
@@ -210,20 +204,6 @@ impl NodeTracker<'_> {
 }
 
 impl NodePolicy {
-    /// Override the overlay-compaction threshold of every pooled profile
-    /// (`0` restores the pre-overlay compact-on-every-reserve behavior —
-    /// the deep-queue bench's baseline mode).
-    pub fn set_overlay_limit(&mut self, limit: usize) {
-        self.overlay_limit = Some(limit);
-    }
-
-    /// Enable or disable the segment-tree query index of every pooled
-    /// profile (`false` routes every query through the linear sweep —
-    /// the deep-queue bench's baseline mode).
-    pub fn set_index_enabled(&mut self, enabled: bool) {
-        self.index_enabled = Some(enabled);
-    }
-
     /// Reset the pooled profiles for a new round. License profiles are
     /// reused in place while the pool names are unchanged (the common
     /// case); the name strings are recloned only when `license_totals`
@@ -251,18 +231,6 @@ impl NodePolicy {
                     .iter()
                     .map(|(name, &total)| (name.clone(), ResourceProfile::new(total))),
             );
-        }
-        if let Some(limit) = self.overlay_limit {
-            self.nodes_scratch.set_overlay_limit(limit);
-            for (_, profile) in self.licenses_scratch.iter_mut() {
-                profile.set_overlay_limit(limit);
-            }
-        }
-        if let Some(enabled) = self.index_enabled {
-            self.nodes_scratch.set_index_enabled(enabled);
-            for (_, profile) in self.licenses_scratch.iter_mut() {
-                profile.set_index_enabled(enabled);
-            }
         }
     }
 }

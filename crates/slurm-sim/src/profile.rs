@@ -16,42 +16,44 @@
 //! reserves `r_j − n_j·r̄_zero`, which is negative for low-I/O running
 //! jobs); usage is allowed to dip below zero.
 //!
-//! # Write paths
+//! # Representation: a lazily folded breakpoint vector
 //!
-//! Three ways to add reservations, all producing bit-identical query
-//! results (pinned by debug oracles and property tests):
+//! One sorted vector of `(instant, change of the reserved amount)`
+//! breakpoints, at most one per instant, plus a parallel `usage` vector
+//! holding their left-to-right fold: `usage[i]` is the reserved amount
+//! from breakpoint `i` until the next one. The fold is valid for the
+//! first `usage.len()` breakpoints, the *folded watermark*:
 //!
-//! * **Batched build** — [`Self::stage`] + [`Self::commit_staged`]: the
-//!   round-start tracker build stages every running-set delta, then sorts
-//!   and coalesces once, O(R log R) instead of the insert path's O(R·k).
-//! * **Overlay** — [`Self::reserve`] mid-round: new breakpoints append to
-//!   a small sorted overlay (binary insert into a bounded vector) that
-//!   queries merge on the fly; it is compacted into the main vector when
-//!   it outgrows [`Self::set_overlay_limit`]. This kills the O(k) memmove
-//!   per delayed job that dominated unbounded-reservation rounds.
-//! * **Insert path** — the original one-`Vec::insert`-per-breakpoint
-//!   implementation survives as `insert_delta`, the debug/test oracle.
+//! * [`ResourceProfile::reserve`] edits the breakpoint vector with
+//!   `insert_delta` (accumulate in place, insert, or drop a breakpoint
+//!   that cancels to within [`eps_for`] of zero) and then only lowers the
+//!   watermark to the first edited breakpoint;
+//! * every query binary-searches its start instant, extends the fold on
+//!   demand as far as it reads, and scans the stored values.
 //!
-//! # Query index
+//! The stored fold is the same sequence of float additions the linear
+//! `sweep` performs from the first breakpoint (`0.0 + d₀ + d₁ + …`, in
+//! time order), and a write changes nothing before its first edited
+//! breakpoint, so every stored value is bitwise the sweep's and every
+//! capacity comparison gives the sweep's answer. `sweep` is the
+//! debug-build oracle of every `earliest_at_most` call.
 //!
-//! Queries descend a hierarchical segment-profile index instead of
-//! sweeping breakpoints linearly (see [`ProfileIndex`]): a grid snapshot
-//! of the cumulative usage with max/min segment trees on top, plus a
-//! small sorted list of writes pending since the last rebuild. Each
-//! `earliest_at_most` probe costs O(log B) per usage flip instead of
-//! O(B); the linear sweep survives as the debug-assert oracle and as the
-//! [`Self::set_index_enabled`] `false` bench baseline.
+//! The round-start tracker build stages the running set and commits it in
+//! one sort ([`ResourceProfile::stage`] +
+//! [`ResourceProfile::commit_staged`]), asserted in debug builds against
+//! an insert-path replay. The commit folds the whole profile once and
+//! records its peak; the peak plus every positive amount reserved since
+//! (plus any residue a dropped breakpoint carried) bounds every stored
+//! value from above, so a probe whose threshold is at or above that bound
+//! fits at `from` without reading a breakpoint. On a free cluster, where
+//! every probe fits at once, this keeps a reservation-heavy round O(1)
+//! per query.
 //!
-//! The index engages only where it can win: profiles under
-//! [`MIN_INDEXED`] breakpoints skip all maintenance (a short sweep beats
-//! the tree's fixed per-query cost), and pending-overflow rebuilds are
-//! deferred until a query has actually consumed the index since the
-//! last one — so write-only bursts stay O(1) extra per write and the
-//! burst's first reader pays a single sweep instead. Either way the
-//! query result is bit-identical to the sweep's.
+//! Measurements against the overlay and segment-tree design this
+//! replaced are in DESIGN.md §3.7.
 
 use iosched_simkit::time::{SimDuration, SimTime};
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 
 /// Relative tolerance used when comparing usage against capacity, so that
 /// reserving exactly the remaining capacity still "fits".
@@ -60,385 +62,77 @@ fn eps_for(cap: f64) -> f64 {
 }
 
 thread_local! {
-    /// Breakpoints advanced by [`ResourceProfile::earliest_at_most`]
-    /// sweeps on this thread — the deterministic work counter behind the
-    /// deep-queue bench's `sweep_steps/*` entries.
+    /// Breakpoints scanned by [`ResourceProfile::earliest_at_most`] on
+    /// this thread — the deterministic work counter behind the deep-queue
+    /// bench's `sweep_steps/*` entries.
     static SWEEP_STEPS: Cell<u64> = const { Cell::new(0) };
 }
 
-/// Read and reset this thread's sweep-step counter (breakpoints walked by
-/// `earliest_at_most` since the last call).
+/// Read and reset this thread's sweep-step counter (breakpoints scanned
+/// by `earliest_at_most` since the last call).
 pub fn take_sweep_steps() -> u64 {
     SWEEP_STEPS.with(|c| c.replace(0))
 }
 
-thread_local! {
-    /// Segment-tree nodes visited (plus pending-boundary hops) by indexed
-    /// `earliest_at_most` probes on this thread — the tree-path
-    /// counterpart of [`SWEEP_STEPS`].
-    static TREE_DESCENTS: Cell<u64> = const { Cell::new(0) };
-    /// Index maintenance work on this thread: one per pending point
-    /// update, plus one per breakpoint folded by a rebuild.
-    static TREE_UPDATES: Cell<u64> = const { Cell::new(0) };
-}
-
-/// Read and reset this thread's `(tree_descents, tree_updates)` counters:
-/// segment-tree nodes visited by indexed `earliest_at_most` probes, and
-/// index point-updates/rebuild breakpoints, since the last call.
+/// Always `(0, 0)`. These were the descent and update counts of a
+/// segment-tree query index that the folded breakpoint vector replaced;
+/// all query work is now counted by [`take_sweep_steps`]. Kept so that
+/// callers reporting the pair keep building.
 pub fn take_tree_counters() -> (u64, u64) {
-    (
-        TREE_DESCENTS.with(|c| c.replace(0)),
-        TREE_UPDATES.with(|c| c.replace(0)),
-    )
+    (0, 0)
 }
 
-/// Insert-path accumulation of `d` at breakpoint `t`: binary-search and
-/// accumulate in place or `Vec::insert`. The original write path, kept as
-/// the oracle the batched/overlay paths are asserted against.
+/// Accumulate `d` at breakpoint `t`: binary-search, then accumulate in
+/// place or `Vec::insert`. The reserve path, and the replay the batched
+/// build is checked against. Returns the position of the edit and the
+/// value a dropped breakpoint carried (`0.0` when none was dropped).
 ///
 /// A breakpoint whose accumulated delta lands within `eps` of zero is
 /// dropped (+a then −a at the same instant, including cancellations that
-/// leave a ±1e-17 float residue) so sweeps don't walk dead entries. The
-/// tolerance is the caller's [`eps_for`] so all three write paths agree;
-/// a fresh insert is never dropped, matching the other paths.
-#[cfg_attr(not(any(test, debug_assertions)), allow(dead_code))]
-fn insert_delta(deltas: &mut Vec<(SimTime, f64)>, t: SimTime, d: f64, eps: f64) {
+/// leave a ±1e-17 float residue) so scans don't walk dead entries. The
+/// tolerance is the caller's [`eps_for`], so the batched build agrees; a
+/// fresh insert is never dropped.
+fn insert_delta(deltas: &mut Vec<(SimTime, f64)>, t: SimTime, d: f64, eps: f64) -> (usize, f64) {
     match deltas.binary_search_by_key(&t, |e| e.0) {
         Ok(i) => {
             deltas[i].1 += d;
-            if deltas[i].1.abs() <= eps {
+            let v = deltas[i].1;
+            if v.abs() <= eps {
                 deltas.remove(i);
+                return (i, v);
             }
+            (i, 0.0)
         }
-        Err(i) => deltas.insert(i, (t, d)),
-    }
-}
-
-/// Hierarchical segment-profile index over the merged (`deltas` ⊕
-/// `overlay`) breakpoints of a [`ResourceProfile`].
-///
-/// The grid (`times`/`usage`) snapshots the cumulative usage at the last
-/// rebuild as the exact left-to-right float fold the linear sweep
-/// computes, so indexed comparisons are bit-identical to the sweep's
-/// whenever `pending` is empty (and exact regardless for the
-/// integer-valued node/license profiles). `tmax`/`tmin` are 1-indexed
-/// max/min segment trees over `usage`, static between rebuilds. Writes
-/// since the last rebuild accumulate in the sorted `pending` list (one
-/// entry per instant, may coincide with grid instants); queries add the
-/// appropriate `pending_off` prefix to the grid usage, walking one
-/// pending window at a time with an O(log B) tree descent per window.
-/// Linear-prefix length each [`ProfileIndex::next_flip`] window scan
-/// tries before descending the tree: near flips (the common case at a
-/// crowded backfill horizon) cost what the sweep would, far flips pay
-/// one wasted prefix and then skip in O(log B).
-const GALLOP: usize = 8;
-
-/// Merged breakpoint count below which the index stays dormant: a sweep
-/// over a few dozen breakpoints beats the tree's fixed per-query cost,
-/// so small profiles skip all index maintenance (writes just mark the
-/// grid stale) and queries take the linear path. The first rebuild
-/// trigger at or past this size revives the index.
-const MIN_INDEXED: usize = 64;
-
-#[derive(Clone, Debug)]
-struct ProfileIndex {
-    /// Merged breakpoint instants at the last rebuild, sorted.
-    times: Vec<SimTime>,
-    /// Cumulative usage after `times[j]` (exact sequential fold).
-    usage: Vec<f64>,
-    /// Max segment tree over `usage`: `cap` leaves at `tmax[cap..]`,
-    /// padded with `-inf`.
-    tmax: Vec<f64>,
-    /// Min segment tree over `usage`, padded with `+inf`.
-    tmin: Vec<f64>,
-    /// Leaf count: `times.len()` rounded up to a power of two.
-    cap: usize,
-    /// Writes since the last rebuild: `(instant, summed delta)`, sorted,
-    /// at most one entry per instant.
-    pending: Vec<(SimTime, f64)>,
-    /// Prefix sums of `pending` deltas: a probe past `k` pending instants
-    /// adds `pending_off[k-1]` to the grid usage.
-    pending_off: Vec<f64>,
-    /// The grid no longer reflects the profile: writes landed while the
-    /// breakpoint count was below [`MIN_INDEXED`], or a write burst
-    /// overflowed `pending` with no query since the last rebuild.
-    /// Queries fall back to the linear sweep until the next rebuild.
-    stale: bool,
-    /// A query ran since the last rebuild (set from `&self`, hence the
-    /// `Cell`). Rebuilds are deferred while this is unset so write-only
-    /// bursts — building a profile nobody probes between writes — never
-    /// pay the O(B) fold; the first query after such a burst sweeps
-    /// once and the next write rebuilds.
-    query_seen: Cell<bool>,
-}
-
-impl Default for ProfileIndex {
-    /// Starts dormant (`stale`): an empty profile is under
-    /// [`MIN_INDEXED`] by definition, so no maintenance runs until the
-    /// breakpoints outgrow the floor and a rebuild trigger fires.
-    fn default() -> Self {
-        ProfileIndex {
-            times: Vec::new(),
-            usage: Vec::new(),
-            tmax: Vec::new(),
-            tmin: Vec::new(),
-            cap: 0,
-            pending: Vec::new(),
-            pending_off: Vec::new(),
-            stale: true,
-            query_seen: Cell::new(false),
-        }
-    }
-}
-
-impl ProfileIndex {
-    /// Drop everything (allocations retained).
-    fn clear(&mut self) {
-        self.times.clear();
-        self.usage.clear();
-        self.tmax.clear();
-        self.tmin.clear();
-        self.cap = 0;
-        self.pending.clear();
-        self.pending_off.clear();
-        self.stale = true;
-        self.query_seen.set(false);
-    }
-
-    /// Rebuild the grid and both trees from the current breakpoint
-    /// vectors, clearing `pending`. O(B) fold + O(B) tree build.
-    fn rebuild(&mut self, deltas: &[(SimTime, f64)], overlay: &[(SimTime, f64)]) {
-        self.times.clear();
-        self.usage.clear();
-        self.pending.clear();
-        self.pending_off.clear();
-        let mut acc = 0.0;
-        let merge = Merge {
-            a: deltas,
-            b: overlay,
-            i: 0,
-            j: 0,
-        };
-        for (t, d) in merge {
-            acc += d;
-            self.times.push(t);
-            self.usage.push(acc);
-        }
-        let n = self.times.len();
-        self.cap = if n == 0 { 0 } else { n.next_power_of_two() };
-        self.tmax.clear();
-        self.tmax.resize(2 * self.cap, f64::NEG_INFINITY);
-        self.tmin.clear();
-        self.tmin.resize(2 * self.cap, f64::INFINITY);
-        for (j, &u) in self.usage.iter().enumerate() {
-            self.tmax[self.cap + j] = u;
-            self.tmin[self.cap + j] = u;
-        }
-        for i in (1..self.cap).rev() {
-            self.tmax[i] = self.tmax[2 * i].max(self.tmax[2 * i + 1]);
-            self.tmin[i] = self.tmin[2 * i].min(self.tmin[2 * i + 1]);
-        }
-        self.stale = false;
-        self.query_seen.set(false);
-        TREE_UPDATES.with(|c| c.set(c.get() + n as u64));
-    }
-
-    /// Accumulate a write at instant `t` into the pending list and
-    /// refresh the prefix sums from the touched entry on. O(pending).
-    fn pending_add(&mut self, t: SimTime, d: f64) {
-        let i = match self.pending.binary_search_by_key(&t, |e| e.0) {
-            Ok(i) => {
-                self.pending[i].1 += d;
-                i
-            }
-            Err(i) => {
-                self.pending.insert(i, (t, d));
-                self.pending_off.push(0.0);
-                i
-            }
-        };
-        let mut acc = if i == 0 { 0.0 } else { self.pending_off[i - 1] };
-        for k in i..self.pending.len() {
-            acc += self.pending[k].1;
-            self.pending_off[k] = acc;
-        }
-        TREE_UPDATES.with(|c| c.set(c.get() + 1));
-    }
-
-    /// Grid usage just before grid position `k` (0 = before everything).
-    fn gval(&self, k: usize) -> f64 {
-        if k == 0 {
-            0.0
-        } else {
-            self.usage[k - 1]
-        }
-    }
-
-    /// Pending offset once `k` pending instants lie at or before the
-    /// probe position.
-    fn pval(&self, k: usize) -> f64 {
-        if k == 0 {
-            0.0
-        } else {
-            self.pending_off[k - 1]
-        }
-    }
-
-    /// First grid position in `[lo, hi)` whose usage (plus `off`)
-    /// satisfies the predicate (`above`: `> limit`, else `<= limit`),
-    /// found by descending the matching tree; `None` when every position
-    /// in range fails (often a single root visit).
-    fn first_flip(
-        &self,
-        lo: usize,
-        hi: usize,
-        off: f64,
-        limit: f64,
-        above: bool,
-        steps: &mut u64,
-    ) -> Option<usize> {
-        if self.cap == 0 || lo >= hi {
-            return None;
-        }
-        self.descend(1, 0, self.cap, lo, hi, off, limit, above, steps)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn descend(
-        &self,
-        node: usize,
-        nlo: usize,
-        nhi: usize,
-        lo: usize,
-        hi: usize,
-        off: f64,
-        limit: f64,
-        above: bool,
-        steps: &mut u64,
-    ) -> Option<usize> {
-        if nhi <= lo || hi <= nlo {
-            return None;
-        }
-        *steps += 1;
-        let enter = if above {
-            self.tmax[node] + off > limit
-        } else {
-            self.tmin[node] + off <= limit
-        };
-        if !enter {
-            return None;
-        }
-        if nhi - nlo == 1 {
-            return Some(nlo);
-        }
-        let mid = (nlo + nhi) / 2;
-        self.descend(2 * node, nlo, mid, lo, hi, off, limit, above, steps)
-            .or_else(|| self.descend(2 * node + 1, mid, nhi, lo, hi, off, limit, above, steps))
-    }
-
-    /// First boundary strictly after the cursor `(gi, pi)` — and before
-    /// `bound`, when given — at which the merged usage first satisfies
-    /// the predicate. Walks one pending window at a time: a tree descent
-    /// over the grid positions before the next pending instant, then the
-    /// pending instant itself. Returns the flip time and the advanced
-    /// cursor; `None` means no boundary before `bound` (or ever) flips.
-    fn next_flip(
-        &self,
-        mut gi: usize,
-        mut pi: usize,
-        limit: f64,
-        above: bool,
-        bound: Option<SimTime>,
-        steps: &mut u64,
-    ) -> Option<(SimTime, usize, usize)> {
-        loop {
-            let off = self.pval(pi);
-            // Grid window before the next pending write (or the grid end).
-            let (win_end, pt) = match self.pending.get(pi) {
-                Some(&(pt, _)) => (
-                    gi + self.times[gi..].partition_point(|&bt| bt < pt),
-                    Some(pt),
-                ),
-                None => (self.times.len(), None),
-            };
-            let scan_end = match bound {
-                Some(b) => gi + self.times[gi..win_end].partition_point(|&bt| bt < b),
-                None => win_end,
-            };
-            // Gallop: most flips sit within a few breakpoints of the
-            // cursor (adjacent reservations at the backfill horizon), so
-            // scan a short linear prefix — as cheap as the sweep there —
-            // and only descend the tree for the long-range skips it wins.
-            let gallop_end = scan_end.min(gi + GALLOP);
-            while gi < gallop_end {
-                *steps += 1;
-                let u = self.usage[gi] + off;
-                let sat = if above { u > limit } else { u <= limit };
-                if sat {
-                    return Some((self.times[gi], gi + 1, pi));
-                }
-                gi += 1;
-            }
-            if let Some(j) = self.first_flip(gi, scan_end, off, limit, above, steps) {
-                return Some((self.times[j], j + 1, pi));
-            }
-            if scan_end < win_end {
-                // Every boundary before `bound` keeps the current state.
-                return None;
-            }
-            let pt = pt?;
-            if let Some(b) = bound {
-                if pt >= b {
-                    return None;
-                }
-            }
-            // Step over the pending write at `pt` (which may coincide
-            // with a grid breakpoint).
-            gi = if self.times.get(win_end) == Some(&pt) {
-                win_end + 1
-            } else {
-                win_end
-            };
-            pi += 1;
-            *steps += 1;
-            let u = self.gval(gi) + self.pval(pi);
-            let sat = if above { u > limit } else { u <= limit };
-            if sat {
-                return Some((pt, gi, pi));
-            }
+        Err(i) => {
+            deltas.insert(i, (t, d));
+            (i, 0.0)
         }
     }
 }
 
 /// A step function of reserved amount over time, with a fixed capacity.
 ///
-/// Breakpoints live in two sorted `Vec`s with disjoint instants — the
-/// `deltas` main vector and the bounded `overlay` — merged on the fly by
-/// every query. [`Self::reset`] retains all allocations so pooled
-/// profiles keep the steady-state scheduling pass allocation-free.
+/// [`Self::reset`] retains all allocations, so pooled profiles keep the
+/// steady-state scheduling pass allocation-free.
 #[derive(Clone, Debug)]
 pub struct ResourceProfile {
     capacity: f64,
     /// `(breakpoint, change of the reserved amount)`, sorted by time with
     /// at most one entry per instant.
     deltas: Vec<(SimTime, f64)>,
-    /// Mid-round reservations at instants absent from `deltas`: sorted,
-    /// disjoint from `deltas`, compacted into it past `overlay_limit`.
-    overlay: Vec<(SimTime, f64)>,
+    /// Left-to-right fold of `deltas`: `usage[i]` is the reserved amount
+    /// on `[deltas[i].0, deltas[i + 1].0)`. Holds the first
+    /// `usage.len()` breakpoints (the folded watermark); queries extend
+    /// it from `&self`, writes truncate it.
+    usage: RefCell<Vec<f64>>,
+    /// Upper bound on every stored usage value, and on the zero before the
+    /// first breakpoint.
+    peak_bound: f64,
     /// Staged `(t, seq, d)` entries awaiting [`Self::commit_staged`];
     /// `seq` is the push index, so an unstable sort on `(t, seq)` (which
     /// never allocates, unlike a stable sort) reproduces call order at
     /// each instant exactly.
     staged: Vec<(SimTime, u32, f64)>,
-    /// Pooled target for overlay compaction merges.
-    merge_scratch: Vec<(SimTime, f64)>,
-    /// Overlay size that triggers compaction; see
-    /// [`Self::set_overlay_limit`].
-    overlay_limit: usize,
-    /// Segment-profile query index; see [`ProfileIndex`].
-    index: ProfileIndex,
-    /// Whether queries use the index; see [`Self::set_index_enabled`].
-    index_enabled: bool,
     /// Pooled insert-path replay for the `commit_staged` debug oracle.
     #[cfg(debug_assertions)]
     oracle: Vec<(SimTime, f64)>,
@@ -451,23 +145,15 @@ impl Default for ResourceProfile {
 }
 
 impl ResourceProfile {
-    /// Default [`Self::set_overlay_limit`]: large enough that typical
-    /// bounded-backfill rounds never compact, small enough that the
-    /// per-query merge stays cache-resident.
-    pub const DEFAULT_OVERLAY_LIMIT: usize = 64;
-
     /// Empty profile with the given capacity (must be finite).
     pub fn new(capacity: f64) -> Self {
         assert!(capacity.is_finite(), "capacity must be finite");
         ResourceProfile {
             capacity,
             deltas: Vec::new(),
-            overlay: Vec::new(),
+            usage: RefCell::new(Vec::new()),
+            peak_bound: 0.0,
             staged: Vec::new(),
-            merge_scratch: Vec::new(),
-            overlay_limit: Self::DEFAULT_OVERLAY_LIMIT,
-            index: ProfileIndex::default(),
-            index_enabled: true,
             #[cfg(debug_assertions)]
             oracle: Vec::new(),
         }
@@ -479,127 +165,14 @@ impl ResourceProfile {
     }
 
     /// Clear all reservations and set a new capacity, keeping the
-    /// breakpoint allocations (and the overlay limit) for reuse.
+    /// allocations for reuse.
     pub fn reset(&mut self, capacity: f64) {
         assert!(capacity.is_finite(), "capacity must be finite");
         self.capacity = capacity;
         self.deltas.clear();
-        self.overlay.clear();
+        self.usage.get_mut().clear();
+        self.peak_bound = 0.0;
         self.staged.clear();
-        self.index.clear();
-    }
-
-    /// Set the overlay size past which [`Self::reserve`] compacts the
-    /// overlay into the main vector. `0` compacts after every reserve
-    /// (the pre-overlay behavior, used as the bench baseline); the limit
-    /// survives [`Self::reset`]. Compaction doesn't change the merged
-    /// step function, so the query index is untouched.
-    pub fn set_overlay_limit(&mut self, limit: usize) {
-        self.overlay_limit = limit;
-        if self.overlay.len() > self.overlay_limit {
-            self.compact();
-        }
-    }
-
-    /// Enable or disable the segment-tree query index (enabled by
-    /// default). Disabling routes every query through the linear
-    /// breakpoint sweep — the bench baseline; re-enabling rebuilds the
-    /// index from the current breakpoints. Survives [`Self::reset`].
-    pub fn set_index_enabled(&mut self, enabled: bool) {
-        if enabled == self.index_enabled {
-            return;
-        }
-        self.index_enabled = enabled;
-        if enabled && self.deltas.len() + self.overlay.len() >= MIN_INDEXED {
-            let ResourceProfile {
-                index,
-                deltas,
-                overlay,
-                ..
-            } = self;
-            index.rebuild(deltas, overlay);
-        } else {
-            self.index.clear();
-        }
-    }
-
-    /// Pending-writes count past which [`Self::reserve`] rebuilds the
-    /// index. Every query walks the in-range pending windows linearly
-    /// (one descent plus one boundary hop each), so the list must stay
-    /// much shorter than the overlay: a quarter of the overlay bound
-    /// (but at least 8 so rebuilds still batch a few reservations)
-    /// keeps the walk a small constant while the O(B) rebuilds amortize
-    /// to a fraction of a breakpoint per write.
-    fn pending_limit(&self) -> usize {
-        (self.overlay_limit / 4).max(8)
-    }
-
-    /// Accumulate `d` at breakpoint `t`: in place when the instant exists
-    /// in either vector, otherwise a binary insert into the (small)
-    /// overlay. Accumulated values within [`eps_for`] of zero drop the
-    /// breakpoint (same tolerance as `insert_delta` and the batched
-    /// build). Every write is mirrored into the index's pending list; a
-    /// drop adds a second cancelling entry so the index view tracks the
-    /// removal (exactly for integer-valued profiles, within one ulp
-    /// otherwise).
-    fn overlay_add(&mut self, t: SimTime, d: f64) {
-        let eps = eps_for(self.capacity);
-        let mut dropped = None;
-        if let Ok(i) = self.deltas.binary_search_by_key(&t, |e| e.0) {
-            self.deltas[i].1 += d;
-            if self.deltas[i].1.abs() <= eps {
-                dropped = Some(self.deltas[i].1);
-                self.deltas.remove(i);
-            }
-        } else {
-            match self.overlay.binary_search_by_key(&t, |e| e.0) {
-                Ok(i) => {
-                    self.overlay[i].1 += d;
-                    if self.overlay[i].1.abs() <= eps {
-                        dropped = Some(self.overlay[i].1);
-                        self.overlay.remove(i);
-                    }
-                }
-                Err(i) => self.overlay.insert(i, (t, d)),
-            }
-        }
-        if self.index_enabled && !self.index.stale {
-            self.index.pending_add(t, d);
-            if let Some(residue) = dropped {
-                if residue != 0.0 {
-                    self.index.pending_add(t, -residue);
-                }
-            }
-        }
-    }
-
-    /// Merge the overlay into the main vector. Instants are disjoint, so
-    /// this is a plain two-way merge; values move without re-accumulation,
-    /// keeping every stored bit identical to the insert path's.
-    fn compact(&mut self) {
-        if self.overlay.is_empty() {
-            return;
-        }
-        self.merge_scratch.clear();
-        self.merge_scratch
-            .reserve(self.deltas.len() + self.overlay.len());
-        let (mut i, mut j) = (0usize, 0usize);
-        while i < self.deltas.len() && j < self.overlay.len() {
-            let (ta, tb) = (self.deltas[i].0, self.overlay[j].0);
-            debug_assert_ne!(ta, tb, "overlay instant collides with main vector");
-            if ta < tb {
-                self.merge_scratch.push(self.deltas[i]);
-                i += 1;
-            } else {
-                self.merge_scratch.push(self.overlay[j]);
-                j += 1;
-            }
-        }
-        self.merge_scratch.extend_from_slice(&self.deltas[i..]);
-        self.merge_scratch.extend_from_slice(&self.overlay[j..]);
-        std::mem::swap(&mut self.deltas, &mut self.merge_scratch);
-        self.overlay.clear();
-        debug_assert!(self.deltas.windows(2).all(|w| w[0].0 < w[1].0));
     }
 
     /// Reserve `amount` (may be negative) over `[start, end)`. Empty or
@@ -609,34 +182,15 @@ impl ResourceProfile {
             return;
         }
         debug_assert!(self.staged.is_empty(), "commit_staged before reserving");
-        self.overlay_add(start, amount);
-        self.overlay_add(end, -amount);
-        if self.overlay.len() > self.overlay_limit {
-            self.compact();
-        }
-        if self.index_enabled {
-            let n = self.deltas.len() + self.overlay.len();
-            if n < MIN_INDEXED {
-                self.index.stale = true;
-            } else if self.index.stale || self.index.pending.len() > self.pending_limit() {
-                // Rebuild only when a query has consumed the index since
-                // the last rebuild: a write-only burst defers (marking
-                // the grid stale) and the burst's first reader sweeps
-                // once instead, so building a profile costs O(1) extra
-                // per write no matter how large it grows.
-                if self.index.query_seen.get() {
-                    let ResourceProfile {
-                        index,
-                        deltas,
-                        overlay,
-                        ..
-                    } = self;
-                    index.rebuild(deltas, overlay);
-                } else {
-                    self.index.stale = true;
-                }
-            }
-        }
+        let eps = eps_for(self.capacity);
+        let (first, r0) = insert_delta(&mut self.deltas, start, amount, eps);
+        let (_, r1) = insert_delta(&mut self.deltas, end, -amount, eps);
+        // The end edit lands at or after `first`, so the fold before it
+        // is still the sweep's.
+        self.usage.get_mut().truncate(first);
+        // Usage rises by at most `amount` on `[start, end)`, and by a
+        // dropped breakpoint's residue from its instant on.
+        self.peak_bound += amount.max(0.0) + r0.abs() + r1.abs();
     }
 
     /// Stage `amount` over `[start, end)` for a batched build. Invisible
@@ -660,10 +214,10 @@ impl ResourceProfile {
     /// [`eps_for`] tolerance as `insert_delta`: a running total landing
     /// within `eps` deletes the entry, so the next delta at that instant
     /// restarts the accumulation fresh (bitwise what the insert path
-    /// computes). Rebuilds the query index once at the end.
+    /// computes). Then folds the whole profile once and records its peak.
     pub fn commit_staged(&mut self) {
         debug_assert!(
-            self.deltas.is_empty() && self.overlay.is_empty(),
+            self.deltas.is_empty(),
             "commit_staged on a profile with committed reservations"
         );
         let eps = eps_for(self.capacity);
@@ -710,30 +264,29 @@ impl ResourceProfile {
                     .all(|(a, b)| a.0 == b.0 && a.1.to_bits() == b.1.to_bits()),
             "batched build diverged from the insert-path oracle"
         );
-        if self.index_enabled {
-            if self.deltas.len() >= MIN_INDEXED {
-                let ResourceProfile {
-                    index,
-                    deltas,
-                    overlay,
-                    ..
-                } = self;
-                index.rebuild(deltas, overlay);
-            } else {
-                self.index.clear();
-            }
+        let usage = self.usage.get_mut();
+        usage.clear();
+        fold_onto(usage, &self.deltas);
+        self.peak_bound = usage.iter().fold(0.0, |m, &u| m.max(u));
+    }
+
+    /// Extend the stored fold to cover the first `n` breakpoints.
+    fn fold_to(&self, usage: &mut Vec<f64>, n: usize) {
+        if n > usage.len() {
+            fold_onto(usage, &self.deltas[usage.len()..n]);
         }
     }
 
     /// Total reserved amount at time `t`.
     pub fn usage_at(&self, t: SimTime) -> f64 {
         debug_assert!(self.staged.is_empty(), "commit_staged before querying");
-        let mut m = Merge::new(self);
-        let mut usage = 0.0;
-        while m.peek().is_some_and(|bt| bt <= t) {
-            usage += m.next().expect("peeked").1;
+        let k = self.deltas.partition_point(|e| e.0 <= t);
+        if k == 0 {
+            return 0.0;
         }
-        usage
+        let mut usage = self.usage.borrow_mut();
+        self.fold_to(&mut usage, k);
+        usage[k - 1]
     }
 
     /// Maximum reserved amount over `[start, end)`; `usage_at(start)` if
@@ -744,35 +297,23 @@ impl ResourceProfile {
         if end <= start {
             return 0.0;
         }
-        let mut m = Merge::new(self);
-        let mut usage = 0.0;
-        while m.peek().is_some_and(|bt| bt <= start) {
-            usage += m.next().expect("peeked").1;
-        }
-        let mut max = usage;
-        while m.peek().is_some_and(|bt| bt < end) {
-            usage += m.next().expect("peeked").1;
-            max = max.max(usage);
-        }
-        max
+        let lo = self.deltas.partition_point(|e| e.0 <= start);
+        let hi = lo + self.deltas[lo..].partition_point(|e| e.0 < end);
+        let mut usage = self.usage.borrow_mut();
+        self.fold_to(&mut usage, hi);
+        let at_start = if lo == 0 { 0.0 } else { usage[lo - 1] };
+        usage[lo..hi].iter().fold(at_start, |m, &u| m.max(u))
     }
 
     /// Earliest `t ≥ from` such that the reserved amount stays at or below
     /// `threshold` throughout `[t, t + dur)`.
     ///
-    /// With the index enabled (the default), the probe descends the
-    /// segment-profile index: locate `from` with two binary searches,
-    /// then alternate between "find the next boundary that violates the
-    /// limit before the window closes" (bounded good-state search, often
-    /// a single pruned tree descent) and "find the next boundary back at
-    /// or under the limit" — O(log B) per usage flip instead of the
-    /// linear sweep's O(B) walk. The sweep survives as the debug-assert
-    /// oracle and as the [`Self::set_index_enabled`] `false` baseline; it
-    /// walks the piecewise-constant segments accumulating usage once,
-    /// tracking the start of the current run of fitting segments, and
-    /// returns as soon as a run covers a full window. (The still older
-    /// O(k²) probe-scan survives as [`Self::earliest_at_most_scan`], the
-    /// sweep's own oracle.)
+    /// A threshold at or above the peak bound fits at `from` at once.
+    /// Otherwise the probe binary-searches `from`, then scans the folded
+    /// usage segment by segment (extending the fold as it goes), tracking
+    /// the start of the current run of fitting segments, and returns as
+    /// soon as a run covers a full window. In debug builds every result
+    /// is asserted against the linear `sweep` over the breakpoints.
     ///
     /// Always terminates: after the last breakpoint the profile is
     /// constant (zero if all reservations have finite ends) — if even the
@@ -780,133 +321,63 @@ impl ResourceProfile {
     /// returned.
     pub fn earliest_at_most(&self, from: SimTime, dur: SimDuration, threshold: f64) -> SimTime {
         debug_assert!(self.staged.is_empty(), "commit_staged before querying");
-        let eps = eps_for(self.capacity);
-        let limit = threshold + eps;
+        let limit = threshold + eps_for(self.capacity);
         let dur = dur.max(SimDuration::from_millis(1));
-        if self.index_enabled {
-            self.index.query_seen.set(true);
-        }
-        let result = if self.index_enabled && !self.index.stale {
-            let result = self.earliest_at_most_indexed(from, dur, limit);
-            #[cfg(debug_assertions)]
-            {
-                // Replay through the linear sweep; its steps go to a
-                // throwaway counter so `sweep_steps` stays a pure
-                // linear-path measure.
-                let mut steps: u64 = 0;
-                let by_sweep = if self.overlay.is_empty() {
-                    sweep(self.deltas.iter().copied(), from, dur, limit, &mut steps)
-                } else {
-                    sweep(Merge::new(self), from, dur, limit, &mut steps)
-                };
-                debug_assert_eq!(
-                    result, by_sweep,
-                    "segment-tree descent diverged from the linear sweep (from {from}, \
-                     dur {dur}, threshold {threshold})"
-                );
-            }
-            result
+        let result = if threshold >= self.peak_bound {
+            from
         } else {
-            let mut steps: u64 = 0;
-            // Monomorphize the sweep for the empty-overlay case: a plain
-            // slice walk with no per-step merge branching. The merged
-            // sweep visits the same breakpoints in the same order, so
-            // both paths accumulate bit-identical usage sums.
-            let result = if self.overlay.is_empty() {
-                sweep(self.deltas.iter().copied(), from, dur, limit, &mut steps)
-            } else {
-                sweep(Merge::new(self), from, dur, limit, &mut steps)
-            };
-            SWEEP_STEPS.with(|c| c.set(c.get() + steps));
-            result
+            self.scan(from, dur, limit)
         };
         #[cfg(debug_assertions)]
         debug_assert_eq!(
             result,
-            self.earliest_at_most_scan(from, dur, threshold),
-            "sweep diverged from the probe-scan oracle (from {from}, dur {dur}, \
+            sweep(&self.deltas, from, dur, limit),
+            "folded scan diverged from the linear sweep (from {from}, dur {dur}, \
              threshold {threshold})"
         );
         result
     }
 
-    /// The indexed [`Self::earliest_at_most`] walk. `cand` tracks the
-    /// start of the current run of fitting segments exactly like the
-    /// sweep; each iteration jumps straight to the next usage flip via
-    /// [`ProfileIndex::next_flip`] instead of stepping breakpoints. The
-    /// good-state search is bounded by `cand + dur` — a flip at or past
-    /// the window close can't matter — so fits-now probes cost O(log B)
-    /// total.
-    fn earliest_at_most_indexed(&self, from: SimTime, dur: SimDuration, limit: f64) -> SimTime {
-        let idx = &self.index;
-        let mut steps: u64 = 0;
-        let mut gi = idx.times.partition_point(|&bt| bt <= from);
-        let mut pi = idx.pending.partition_point(|&(bt, _)| bt <= from);
+    /// The [`Self::earliest_at_most`] scan over the folded usage from
+    /// the first breakpoint after `from`.
+    fn scan(&self, from: SimTime, dur: SimDuration, limit: f64) -> SimTime {
+        let mut usage = self.usage.borrow_mut();
+        let first = self.deltas.partition_point(|e| e.0 <= from);
+        self.fold_to(&mut usage, first);
+        // `u` is the usage on the segment ending at breakpoint `j`;
+        // `cand` the earliest potential start: `from`, pushed to the end
+        // of every violating segment encountered.
+        let mut u = if first == 0 { 0.0 } else { usage[first - 1] };
         let mut cand = from;
-        let mut good = idx.gval(gi) + idx.pval(pi) <= limit;
+        let mut j = first;
         let result = loop {
-            if good {
-                match idx.next_flip(gi, pi, limit, true, Some(cand + dur), &mut steps) {
-                    // No boundary above the limit before the window
-                    // closes: `[cand, cand + dur)` fits.
-                    None => break cand,
-                    Some((_, ngi, npi)) => {
-                        gi = ngi;
-                        pi = npi;
-                        good = false;
-                    }
+            let Some(&(end, d)) = self.deltas.get(j) else {
+                // Tail segment: constant forever.
+                break if u <= limit {
+                    cand
+                } else {
+                    SimTime::FAR_FUTURE
+                };
+            };
+            if u <= limit {
+                if cand + dur <= end {
+                    break cand;
                 }
             } else {
-                match idx.next_flip(gi, pi, limit, false, None, &mut steps) {
-                    // Tail usage exceeds the threshold forever.
-                    None => break SimTime::FAR_FUTURE,
-                    Some((bt, ngi, npi)) => {
-                        cand = bt;
-                        gi = ngi;
-                        pi = npi;
-                        good = true;
-                    }
+                cand = end;
+            }
+            u = match usage.get(j) {
+                Some(&v) => v,
+                None => {
+                    u += d;
+                    usage.push(u);
+                    u
                 }
-            }
+            };
+            j += 1;
         };
-        TREE_DESCENTS.with(|c| c.set(c.get() + steps));
+        SWEEP_STEPS.with(|c| c.set(c.get() + (j - first) as u64));
         result
-    }
-
-    /// The pre-sweep implementation of [`Self::earliest_at_most`]: probe
-    /// `max_over` at `from` and after every breakpoint until a window
-    /// fits. O(k²); kept as the debug-assert oracle for the O(k) sweep.
-    #[cfg(debug_assertions)]
-    fn earliest_at_most_scan(&self, from: SimTime, dur: SimDuration, threshold: f64) -> SimTime {
-        let eps = eps_for(self.capacity);
-        let fits = |t: SimTime| -> bool {
-            self.max_over(t, t + dur.max(SimDuration::from_millis(1))) <= threshold + eps
-        };
-        let next_after = |t: SimTime| -> Option<SimTime> {
-            let a = self
-                .deltas
-                .get(self.deltas.partition_point(|e| e.0 <= t))
-                .map(|e| e.0);
-            let b = self
-                .overlay
-                .get(self.overlay.partition_point(|e| e.0 <= t))
-                .map(|e| e.0);
-            match (a, b) {
-                (Some(x), Some(y)) => Some(x.min(y)),
-                (a, None) => a,
-                (None, b) => b,
-            }
-        };
-        let mut t = from;
-        loop {
-            if fits(t) {
-                return t;
-            }
-            match next_after(t) {
-                Some(bt) => t = bt,
-                None => return SimTime::FAR_FUTURE,
-            }
-        }
     }
 
     /// Earliest `t ≥ from` at which an additional `amount` fits under the
@@ -918,36 +389,37 @@ impl ResourceProfile {
     /// Breakpoints and cumulative usage, for diagnostics and tests.
     pub fn steps(&self) -> Vec<(SimTime, f64)> {
         debug_assert!(self.staged.is_empty(), "commit_staged before querying");
-        let mut usage = 0.0;
-        Merge::new(self)
-            .map(|(t, d)| {
-                usage += d;
-                (t, usage)
-            })
+        let mut usage = self.usage.borrow_mut();
+        self.fold_to(&mut usage, self.deltas.len());
+        self.deltas
+            .iter()
+            .zip(usage.iter())
+            .map(|(&(t, _), &u)| (t, u))
             .collect()
     }
 }
 
-/// The [`ResourceProfile::earliest_at_most`] segment walk over any
-/// time-ordered breakpoint stream: accumulate usage once left to right,
-/// track the start of the current run of fitting segments, return as
-/// soon as a run covers a full window.
-fn sweep<I: Iterator<Item = (SimTime, f64)>>(
-    iter: I,
-    from: SimTime,
-    dur: SimDuration,
-    limit: f64,
-    steps: &mut u64,
-) -> SimTime {
-    let mut m = iter.peekable();
+/// Append the fold of `deltas` to `usage`, continuing from its last value.
+fn fold_onto(usage: &mut Vec<f64>, deltas: &[(SimTime, f64)]) {
+    let mut acc = usage.last().copied().unwrap_or(0.0);
+    usage.extend(deltas.iter().map(|&(_, d)| {
+        acc += d;
+        acc
+    }));
+}
 
-    // Accumulate usage over the breakpoints at or before `from` (the
-    // same left-to-right float accumulation as `usage_at`, so every
-    // comparison sees bit-identical sums to the oracle's).
+/// The linear oracle of [`ResourceProfile::earliest_at_most`]: accumulate
+/// usage from zero over every breakpoint in time order, track the start
+/// of the current run of fitting segments, and return as soon as a run
+/// covers a full window.
+#[cfg(any(test, debug_assertions))]
+fn sweep(deltas: &[(SimTime, f64)], from: SimTime, dur: SimDuration, limit: f64) -> SimTime {
+    let mut m = deltas.iter().copied().peekable();
+
+    // Accumulate usage over the breakpoints at or before `from`.
     let mut usage = 0.0;
     while m.peek().is_some_and(|&(bt, _)| bt <= from) {
         usage += m.next().expect("peeked").1;
-        *steps += 1;
     }
 
     // Walk the segments [seg_start, peek()) with constant `usage`.
@@ -971,68 +443,6 @@ fn sweep<I: Iterator<Item = (SimTime, f64)>>(
             }
         }
         usage += m.next().expect("peeked").1;
-        *steps += 1;
-    }
-}
-
-/// Two-way merge cursor over the main and overlay breakpoint vectors.
-/// Instants are disjoint between the two, so every merged breakpoint is
-/// visited exactly once in time order: queries run one `+=` per
-/// breakpoint exactly as they would over a single vector, keeping float
-/// sums bit-identical to the insert path's.
-struct Merge<'a> {
-    a: &'a [(SimTime, f64)],
-    b: &'a [(SimTime, f64)],
-    i: usize,
-    j: usize,
-}
-
-impl<'a> Merge<'a> {
-    fn new(p: &'a ResourceProfile) -> Self {
-        Merge {
-            a: &p.deltas,
-            b: &p.overlay,
-            i: 0,
-            j: 0,
-        }
-    }
-
-    /// Time of the next breakpoint without consuming it.
-    fn peek(&self) -> Option<SimTime> {
-        match (self.a.get(self.i), self.b.get(self.j)) {
-            (Some(&(ta, _)), Some(&(tb, _))) => Some(ta.min(tb)),
-            (Some(&(ta, _)), None) => Some(ta),
-            (None, Some(&(tb, _))) => Some(tb),
-            (None, None) => None,
-        }
-    }
-}
-
-impl Iterator for Merge<'_> {
-    type Item = (SimTime, f64);
-
-    fn next(&mut self) -> Option<(SimTime, f64)> {
-        match (self.a.get(self.i), self.b.get(self.j)) {
-            (Some(&ea), Some(&eb)) => {
-                debug_assert_ne!(ea.0, eb.0, "overlay instant collides with main vector");
-                if ea.0 < eb.0 {
-                    self.i += 1;
-                    Some(ea)
-                } else {
-                    self.j += 1;
-                    Some(eb)
-                }
-            }
-            (Some(&ea), None) => {
-                self.i += 1;
-                Some(ea)
-            }
-            (None, Some(&eb)) => {
-                self.j += 1;
-                Some(eb)
-            }
-            (None, None) => None,
-        }
     }
 }
 
@@ -1184,7 +594,7 @@ mod tests {
         }
         b.commit_staged();
         assert_eq!(a.steps(), b.steps());
-        // Committed profiles accept further overlay reservations.
+        // Committed profiles accept further reservations.
         a.reserve(1.5, t(12), t(18));
         b.reserve(1.5, t(12), t(18));
         assert_eq!(a.steps(), b.steps());
@@ -1192,30 +602,6 @@ mod tests {
             a.earliest_fit(t(0), d(8), 3.0),
             b.earliest_fit(t(0), d(8), 3.0)
         );
-    }
-
-    #[test]
-    fn overlay_compaction_preserves_queries() {
-        let mut p = ResourceProfile::new(10.0);
-        p.set_overlay_limit(2);
-        for k in 0..20u64 {
-            p.reserve(0.25, t(k), t(k + 7));
-        }
-        let mut q = ResourceProfile::new(10.0);
-        q.set_overlay_limit(usize::MAX);
-        for k in 0..20u64 {
-            q.reserve(0.25, t(k), t(k + 7));
-        }
-        assert_eq!(p.steps(), q.steps());
-        for probe in 0..30u64 {
-            assert_eq!(
-                p.usage_at(t(probe)).to_bits(),
-                q.usage_at(t(probe)).to_bits()
-            );
-        }
-        // Lowering the limit compacts immediately.
-        q.set_overlay_limit(0);
-        assert_eq!(p.steps(), q.steps());
     }
 
     #[test]
@@ -1253,12 +639,12 @@ mod tests {
     #[test]
     fn near_zero_residues_drop_dead_breakpoints() {
         // 0.1 + 0.2 − 0.3 cancels to a 5.55e-17 residue, not exactly 0.0;
-        // all three write paths drop the dead breakpoints (eps_for(10) =
-        // 1e-8 tolerance) instead of keeping them forever.
+        // both write paths drop the dead breakpoints (eps_for(10) = 1e-8
+        // tolerance) instead of keeping them forever.
         let residue = 0.1_f64 + 0.2 - 0.3;
         assert!(residue != 0.0 && residue.abs() <= eps_for(10.0));
 
-        // Overlay / in-place path.
+        // Reserve path.
         let mut p = ResourceProfile::new(10.0);
         p.reserve(0.1, t(10), t(20));
         p.reserve(0.2, t(10), t(20));
@@ -1286,70 +672,6 @@ mod tests {
     }
 
     #[test]
-    fn index_toggle_matches_sweep() {
-        let mut p = ResourceProfile::new(10.0);
-        p.reserve(4.0, t(10), t(20));
-        p.reserve(3.0, t(15), t(25));
-        let on = p.earliest_at_most(t(12), d(8), 3.0);
-        p.set_index_enabled(false);
-        assert_eq!(p.earliest_at_most(t(12), d(8), 3.0), on);
-        p.set_index_enabled(true); // rebuilds from the live breakpoints
-        assert_eq!(p.earliest_at_most(t(12), d(8), 3.0), on);
-        assert_eq!(on, t(20));
-    }
-
-    #[test]
-    fn pending_overflow_rebuilds_index() {
-        take_tree_counters();
-        let mut p = ResourceProfile::new(1000.0);
-        p.set_overlay_limit(4); // pending rebuild threshold = 8
-                                // Interleave writes and reads past MIN_INDEXED so the overflow
-                                // rebuilds actually fire (write-only bursts defer them). Start
-                                // and end instants never coincide (3k vs 3j + 10), so every
-                                // reserve adds two lasting breakpoints.
-        for k in 0..200u64 {
-            p.reserve(1.0, t(3 * k), t(3 * k + 10));
-            let _ = p.earliest_at_most(t(3 * k), d(5), 3.0);
-            assert!(p.index.pending.len() <= 10);
-        }
-        // Queries stay correct across rebuild boundaries (every call is
-        // debug-asserted against the linear sweep).
-        for f in 0..60u64 {
-            let _ = p.earliest_at_most(t(f), d(5), 3.0);
-        }
-        let (descents, updates) = take_tree_counters();
-        assert!(descents > 0, "indexed queries count tree descents");
-        assert!(updates > 0, "writes and rebuilds count tree updates");
-    }
-
-    #[test]
-    fn small_profiles_and_unread_bursts_skip_index_work() {
-        // Below MIN_INDEXED the index stays dormant: queries sweep and
-        // writes do no maintenance at all.
-        take_tree_counters();
-        let mut p = ResourceProfile::new(100.0);
-        for k in 0..20u64 {
-            p.reserve(1.0, t(k), t(k + 10));
-        }
-        let _ = p.earliest_at_most(t(0), d(5), 50.0);
-        assert_eq!(take_tree_counters(), (0, 0));
-
-        // A write-only burst past MIN_INDEXED defers every rebuild; the
-        // burst's first reader sweeps once, and the next write rebuilds.
-        let mut p = ResourceProfile::new(1000.0);
-        for k in 0..200u64 {
-            p.reserve(1.0, t(2 * k), t(2 * k + 1));
-        }
-        let (_, updates) = take_tree_counters();
-        assert_eq!(updates, 0, "unread burst must not maintain the index");
-        let q = p.earliest_at_most(t(0), d(5), 0.5);
-        p.reserve(1.0, t(500), t(600));
-        let (_, updates) = take_tree_counters();
-        assert!(updates > 0, "first write after a read rebuilds");
-        assert_eq!(p.earliest_at_most(t(0), d(5), 0.5), q);
-    }
-
-    #[test]
     fn reset_clears_reservations_and_swaps_capacity() {
         let mut p = ResourceProfile::new(10.0);
         p.reserve(4.0, t(0), t(10));
@@ -1361,17 +683,104 @@ mod tests {
         assert_eq!(p.usage_at(t(5)), 2.0);
     }
 
-    /// Rebuild the cumulative steps of an insert-path delta vector, the
-    /// oracle the overlay/batched property tests compare against.
-    fn oracle_steps(resv: &[(u64, u64, f64)]) -> Vec<(SimTime, f64)> {
-        let eps = eps_for(10.0);
-        let mut deltas: Vec<(SimTime, f64)> = Vec::new();
-        for &(s, len, a) in resv {
-            if a != 0.0 && len > 0 {
-                insert_delta(&mut deltas, t(s), a, eps);
-                insert_delta(&mut deltas, t(s + len), -a, eps);
-            }
+    /// The folded watermark: how many breakpoints the stored fold covers.
+    fn watermark(p: &ResourceProfile) -> usize {
+        p.usage.borrow().len()
+    }
+
+    #[test]
+    fn cancelling_reserve_below_the_watermark_refolds() {
+        let mut p = ResourceProfile::new(10.0);
+        for k in 0..5u64 {
+            p.stage(1.0 + k as f64, t(10 * k), t(10 * k + 15));
         }
+        p.commit_staged();
+        assert_eq!(watermark(&p), p.deltas.len(), "the build folds everything");
+        let before = p.deltas.len();
+        // Cancel the breakpoint at t=20 exactly (it carries +3, the job
+        // starting there) — a drop below the watermark, with the end at
+        // t=35 landing on an existing breakpoint too.
+        p.reserve(-3.0, t(20), t(35));
+        assert_eq!(watermark(&p), 3, "watermark drops to the edited breakpoint");
+        assert_eq!(p.deltas.len(), before - 2);
+        assert!(p.steps().iter().all(|&(bt, _)| bt != t(20) && bt != t(35)));
+        assert_eq!(watermark(&p), p.deltas.len());
+        // Every stored value matches a fresh fold, bit for bit.
+        let mut acc = 0.0;
+        for (&(_, dv), &(_, u)) in p.deltas.iter().zip(p.steps().iter()) {
+            acc += dv;
+            assert_eq!(acc.to_bits(), u.to_bits());
+        }
+        // And a partially folded profile answers like the sweep.
+        p.reserve(2.0, t(5), t(12));
+        for thr in [0.0, 2.5, 4.0, 6.0] {
+            assert_eq!(
+                p.earliest_at_most(t(0), d(6), thr),
+                sweep(&p.deltas, t(0), d(6), thr + eps_for(10.0))
+            );
+        }
+    }
+
+    #[test]
+    fn reset_after_a_partial_fold() {
+        let mut p = ResourceProfile::new(10.0);
+        for k in 0..6u64 {
+            p.reserve(2.0, t(5 * k), t(5 * k + 8));
+        }
+        // A query near the start folds only a prefix.
+        assert_eq!(p.usage_at(t(6)), 4.0);
+        assert!(watermark(&p) > 0 && watermark(&p) < p.deltas.len());
+        p.reset(4.0);
+        assert_eq!(watermark(&p), 0);
+        assert_eq!(p.peak_bound, 0.0);
+        // The stale prefix must not leak into the new profile.
+        p.reserve(3.0, t(100), t(110));
+        assert_eq!(p.usage_at(t(6)), 0.0);
+        assert_eq!(p.usage_at(t(105)), 3.0);
+        assert_eq!(p.earliest_fit(t(95), d(10), 2.0), t(110));
+        assert_eq!(p.steps(), vec![(t(100), 3.0), (t(110), 0.0)]);
+    }
+
+    #[test]
+    fn threshold_equal_to_the_peak_bound_fits_at_once() {
+        let mut p = ResourceProfile::new(10.0);
+        p.stage(6.0, t(0), t(50));
+        p.commit_staged();
+        p.reserve(2.0, t(10), t(20));
+        p.reserve(-1.0, t(30), t(40));
+        assert_eq!(p.peak_bound, 8.0, "built peak plus positive reserves");
+        // Threshold exactly at the bound: answered without a scan, and
+        // the sweep agrees.
+        take_sweep_steps();
+        assert_eq!(p.earliest_at_most(t(5), d(30), 8.0), t(5));
+        assert_eq!(take_sweep_steps(), 0);
+        assert_eq!(sweep(&p.deltas, t(5), d(30), 8.0 + eps_for(10.0)), t(5));
+        // Just below the bound the scan runs; usage peaks at exactly 8 on
+        // [10, 20), which still fits within the eps tolerance.
+        assert_eq!(p.earliest_at_most(t(5), d(30), 8.0 - 1e-12), t(5));
+        assert!(take_sweep_steps() > 0);
+        assert_eq!(p.earliest_at_most(t(5), d(30), 7.0), t(20));
+    }
+
+    /// The insert-path oracle: reservations replayed through
+    /// `insert_delta`, the write path every other is pinned to.
+    fn oracle_deltas(resv: &[(u64, u64, f64)]) -> Vec<(SimTime, f64)> {
+        let mut deltas = Vec::new();
+        for &(s, len, a) in resv {
+            oracle_reserve(&mut deltas, s, len, a);
+        }
+        deltas
+    }
+
+    fn oracle_reserve(deltas: &mut Vec<(SimTime, f64)>, s: u64, len: u64, a: f64) {
+        if a != 0.0 && len > 0 {
+            insert_delta(deltas, t(s), a, eps_for(10.0));
+            insert_delta(deltas, t(s + len), -a, eps_for(10.0));
+        }
+    }
+
+    /// Cumulative steps of a delta vector by a fresh left-to-right fold.
+    fn fold_steps(deltas: &[(SimTime, f64)]) -> Vec<(SimTime, f64)> {
         let mut usage = 0.0;
         deltas
             .iter()
@@ -1380,6 +789,53 @@ mod tests {
                 (bt, usage)
             })
             .collect()
+    }
+
+    fn bitwise_eq(a: &[(SimTime, f64)], b: &[(SimTime, f64)]) -> bool {
+        a.len() == b.len()
+            && a.iter()
+                .zip(b.iter())
+                .all(|(x, y)| x.0 == y.0 && x.1.to_bits() == y.1.to_bits())
+    }
+
+    /// Every query of `p` against the oracles computed from the
+    /// insert-path `deltas`: `sweep` for `earliest_at_most`, a fresh fold
+    /// for `usage_at`/`max_over`.
+    fn check_queries(
+        p: &ResourceProfile,
+        deltas: &[(SimTime, f64)],
+        (f, du, thr): (u64, u64, f64),
+    ) -> Result<(), String> {
+        let limit = thr + eps_for(10.0);
+        let got = p.earliest_at_most(t(f), d(du), thr);
+        let want = sweep(deltas, t(f), d(du), limit);
+        prop_assert!(
+            got == want,
+            "earliest_at_most(from {f}, dur {du}, thr {thr}) = {got}, sweep says {want}"
+        );
+        let steps = fold_steps(deltas);
+        let at = |x: SimTime| {
+            steps
+                .iter()
+                .take_while(|&&(bt, _)| bt <= x)
+                .last()
+                .map_or(0.0, |&(_, u)| u)
+        };
+        prop_assert!(
+            p.usage_at(t(f)).to_bits() == at(t(f)).to_bits(),
+            "usage_at({f}) diverged from the fold"
+        );
+        let (s, e) = (t(f), t(f + du));
+        let max = steps
+            .iter()
+            .filter(|&&(bt, _)| bt > s && bt < e)
+            .fold(at(s), |m, &(_, u)| m.max(u));
+        prop_assert!(
+            p.max_over(s, e).to_bits() == max.to_bits(),
+            "max_over({f}, {}) diverged from the fold",
+            f + du
+        );
+        Ok(())
     }
 
     props! {
@@ -1434,101 +890,41 @@ mod tests {
             prop_assert!((p.usage_at(t(probe)) - naive).abs() < 2e-8);
         }
 
-        /// Every overlay-compaction regime and the batched build store
-        /// bit-identical breakpoints to the insert path, and answer
-        /// earliest_at_most identically. Runs under cfg(test) — not just
-        /// debug_assertions — so release CI exercises the oracle too.
+        /// The batched build and the reserve path store bit-identical
+        /// breakpoints to the insert path, and every query — interleaved
+        /// with reserves, so the fold is extended and cut back at random
+        /// watermarks — answers exactly as the oracles over the insert-path
+        /// deltas do. Negative amounts and thresholds cover the AT tracker.
+        /// Runs under cfg(test), not just debug_assertions, so release CI
+        /// exercises the oracles too.
         fn prop_write_paths_bitwise_identical(
-            resv in prop::vec((0u64..60, 1u64..30, -3.0f64..5.0), 0..24),
-            from in 0u64..50,
-            dur in 1u64..20,
-            thr in 0.0f64..9.0,
-        ) {
-            let oracle = oracle_steps(&resv);
-            for limit in [0usize, 3, usize::MAX] {
-                let mut p = ResourceProfile::new(10.0);
-                p.set_overlay_limit(limit);
-                for &(s, len, a) in &resv {
-                    p.reserve(a, t(s), t(s + len));
-                }
-                let steps = p.steps();
-                prop_assert!(
-                    steps.len() == oracle.len()
-                        && steps.iter().zip(oracle.iter()).all(|(x, y)| {
-                            x.0 == y.0 && x.1.to_bits() == y.1.to_bits()
-                        }),
-                    "overlay limit {limit} diverged from the insert path"
-                );
-                prop_assert!(
-                    p.earliest_at_most(t(from), d(dur), thr)
-                        == {
-                            let mut q = ResourceProfile::new(10.0);
-                            q.set_overlay_limit(0);
-                            for &(s, len, a) in &resv {
-                                q.reserve(a, t(s), t(s + len));
-                            }
-                            q.earliest_at_most(t(from), d(dur), thr)
-                        },
-                    "earliest_at_most diverged at overlay limit {limit}"
-                );
-            }
-            let mut b = ResourceProfile::new(10.0);
-            for &(s, len, a) in &resv {
-                b.stage(a, t(s), t(s + len));
-            }
-            b.commit_staged();
-            let steps = b.steps();
-            prop_assert!(
-                steps.len() == oracle.len()
-                    && steps.iter().zip(oracle.iter()).all(|(x, y)| {
-                        x.0 == y.0 && x.1.to_bits() == y.1.to_bits()
-                    }),
-                "batched build diverged from the insert path"
-            );
-        }
-
-        /// Tree-indexed earliest_at_most equals the linear sweep under
-        /// randomized interleaved stage/reserve churn — across overlay
-        /// compaction regimes, pending-rebuild boundaries, negative
-        /// amounts (AT-tracker profiles), and negative thresholds. Runs
-        /// under cfg(test) so release CI exercises the comparison too
-        /// (debug builds additionally self-assert every indexed probe
-        /// against the sweep inside earliest_at_most).
-        fn prop_indexed_matches_linear(
             committed in prop::vec((0u64..60, 1u64..30, -3.0f64..5.0), 0..16),
             resv in prop::vec((0u64..60, 1u64..30, -3.0f64..5.0), 0..24),
-            probes in prop::vec((0u64..90, 1u64..25, -1.0f64..9.0), 1..8),
-            limit_idx in 0usize..4,
+            probes in prop::vec((0u64..90, 1u64..25, -3.0f64..9.0), 1..8),
         ) {
-            let limits = [0usize, 2, 8, usize::MAX];
-            let mut p = ResourceProfile::new(10.0); // index on (default)
-            let mut q = ResourceProfile::new(10.0);
-            q.set_index_enabled(false);
-            for x in [&mut p, &mut q] {
-                x.set_overlay_limit(limits[limit_idx]);
-                for &(s, len, a) in &committed {
-                    x.stage(a, t(s), t(s + len));
-                }
-                x.commit_staged();
+            let mut oracle = oracle_deltas(&committed);
+            let mut p = ResourceProfile::new(10.0);
+            for &(s, len, a) in &committed {
+                p.stage(a, t(s), t(s + len));
             }
-            let mut probe_iter = probes.iter().cycle();
+            p.commit_staged();
+            prop_assert!(
+                bitwise_eq(&p.steps(), &fold_steps(&oracle)),
+                "batched build diverged from the insert path"
+            );
+            let mut probe_iter = probes.iter().copied().cycle();
             for &(s, len, a) in &resv {
                 p.reserve(a, t(s), t(s + len));
-                q.reserve(a, t(s), t(s + len));
-                let &(f, du, thr) = probe_iter.next().expect("cycle");
-                prop_assert!(
-                    p.earliest_at_most(t(f), d(du), thr)
-                        == q.earliest_at_most(t(f), d(du), thr),
-                    "indexed probe diverged mid-churn (from {f}, dur {du}, thr {thr})"
-                );
+                oracle_reserve(&mut oracle, s, len, a);
+                check_queries(&p, &oracle, probe_iter.next().expect("cycle"))?;
             }
-            for &(f, du, thr) in &probes {
-                prop_assert!(
-                    p.earliest_at_most(t(f), d(du), thr)
-                        == q.earliest_at_most(t(f), d(du), thr),
-                    "indexed probe diverged (from {f}, dur {du}, thr {thr})"
-                );
+            for &probe in &probes {
+                check_queries(&p, &oracle, probe)?;
             }
+            prop_assert!(
+                bitwise_eq(&p.steps(), &fold_steps(&oracle)),
+                "reserve path diverged from the insert path"
+            );
         }
     }
 }

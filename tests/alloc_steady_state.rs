@@ -8,13 +8,16 @@
 //! I/O-aware and adaptive policies alike.
 //!
 //! Methodology: a counting [`GlobalAlloc`] wrapper tallies every
-//! `alloc`/`realloc`/`alloc_zeroed`. After warm-up rounds, the test
-//! measures several windows of identical rounds and asserts the
-//! *minimum* window delta is zero (the minimum shrugs off any stray
-//! allocation from the test harness itself).
+//! `alloc`/`realloc`/`alloc_zeroed` made by the calling thread. The
+//! tally is per thread because the test harness runs tests on concurrent
+//! threads: a process-wide count would charge each test's windows with
+//! the other test's allocations. After warm-up rounds, the test measures
+//! several windows of identical rounds and asserts the *minimum* window
+//! delta is zero (the minimum shrugs off any stray allocation from the
+//! test harness itself).
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use iosched_analytics::JobEstimate;
 use iosched_cluster::{ClusterSim, ExecSpec, JobCompletion, Phase};
@@ -32,11 +35,19 @@ use iosched_slurm::{
 
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made by this thread. `const`-initialised with no
+    /// destructor, so counting never allocates or touches torn-down TLS.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_allocation() {
+    ALLOCATIONS.with(|c| c.set(c.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.alloc(layout)
     }
 
@@ -45,12 +56,12 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.realloc(ptr, layout, new_size)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.alloc_zeroed(layout)
     }
 }
@@ -58,8 +69,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// Allocations made by the calling thread so far.
 fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
+    ALLOCATIONS.with(Cell::get)
 }
 
 /// 320 jobs: 5 running (11 of 15 nodes busy), 315 pending — a deep
@@ -96,7 +108,12 @@ fn steady_state_allocs<P>(
 where
     P: SchedulingPolicy,
 {
+    let before_table = allocations();
     let jobs = job_table();
+    assert!(
+        allocations() > before_table,
+        "the counter must see this thread's allocations"
+    );
     let mut registry = JobRegistry::new();
     for j in &jobs {
         registry.submit(j.clone());
