@@ -121,6 +121,22 @@ step "tests in release (offline)"
 # allocation-free steady-state checks must hold there too.
 cargo test -q --workspace --release --offline
 
+step "repository benchmark: builds and reports every workload correct"
+# perfbench/ is a workspace of its own that no step above builds, so a
+# library change that breaks it, or makes its traced copy of the event
+# loop disagree with the library's entry points, would otherwise surface
+# only when the benchmark runs. One short traced repetition per workload
+# in BENCHMARK.json runs both; its last stdout line must report
+# "correct": true and "failed": 0.
+mapfile -t BENCH_CMD < <(python3 -c 'import json; print("\n".join(json.load(open("BENCHMARK.json"))["command"]))')
+for workload in $(python3 -c 'import json; print(" ".join(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))'); do
+    "${BENCH_CMD[@]}" --workload "$workload" --seed 1 --seconds 0.1 --trace 1 | tail -n 1 |
+        python3 -c 'import json, sys; r = json.loads(sys.stdin.read()); sys.exit(0 if r["correct"] is True and r["failed"] == 0 else 1)' || {
+        echo "repository benchmark: workload $workload is not correct" >&2
+        exit 1
+    }
+done
+
 step "determinism gate: two full Workload 1 runs, bit-identical output"
 cargo test --release --offline --test determinism -- --include-ignored
 

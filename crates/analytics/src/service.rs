@@ -78,15 +78,22 @@ impl AnalyticsService {
     /// scheduler's per-pass fast path. `Sym::NONE` (or any symbol with no
     /// history) yields the cold-start fallback.
     pub fn job_estimate_sym(&self, name: Sym, requested_limit: SimDuration) -> JobEstimate {
-        let predicted = if name.is_some() {
-            self.predictor.predict(name)
-        } else {
-            None
-        };
-        predicted.unwrap_or(JobEstimate {
+        self.class_estimate_sym(name).unwrap_or(JobEstimate {
             throughput_bps: 0.0,
             runtime: requested_limit,
         })
+    }
+
+    /// The prediction shared by every job named `name`, without the
+    /// cold-start fallback: `None` for `Sym::NONE` or a name with no
+    /// history. It changes only when a job of that name completes (or is
+    /// pretrained).
+    pub fn class_estimate_sym(&self, name: Sym) -> Option<JobEstimate> {
+        if name.is_some() {
+            self.predictor.predict(name)
+        } else {
+            None
+        }
     }
 
     /// True if at least one similar job has been observed.
@@ -98,7 +105,7 @@ impl AnalyticsService {
 
     /// [`AnalyticsService::has_history_for`] by interned symbol.
     pub fn has_history_sym(&self, name: Sym) -> bool {
-        name.is_some() && self.predictor.predict(name).is_some()
+        self.class_estimate_sym(name).is_some()
     }
 
     /// Measured current total Lustre throughput `R_now` (Algorithm 2,
@@ -192,10 +199,16 @@ mod tests {
             svc.job_estimate_sym(sym, SimDuration::from_secs(99))
         );
         assert!(svc.has_history_sym(sym));
+        assert_eq!(
+            svc.class_estimate_sym(sym),
+            Some(svc.job_estimate_sym(sym, SimDuration::from_secs(99)))
+        );
+        assert_eq!(svc.class_estimate_sym(Sym::NONE), None);
         // Interning a fresh name gives a cold-start estimate until a
         // completion is observed.
         let cold = svc.intern("new-job");
         assert!(!svc.has_history_sym(cold));
+        assert_eq!(svc.class_estimate_sym(cold), None);
         assert_eq!(
             svc.job_estimate_sym(cold, SimDuration::from_secs(7))
                 .runtime,

@@ -12,14 +12,16 @@
 //! * the **scheduler** runs a backfill pass periodically (`sched_period`,
 //!   Slurm's backfill interval) and after job completions, subject to a
 //!   minimum interval (Slurm's `sched_min_interval`);
-//! * completions are reported to the **analytics**, which update the
-//!   persistent [`EstimateBook`] entries for similar jobs.
+//! * completions are reported to the **analytics**, and the finished
+//!   job's name class gets its new prediction in the persistent
+//!   [`EstimateBook`], which every job of that class reads through.
 //!
 //! The control-plane data path is allocation-free in steady state: job
 //! names are interned once at submission, the estimate book persists
-//! across rounds (inserted at submission, refreshed on completion,
-//! removed when jobs finish), and every per-pass buffer — queue ids,
-//! queue refs, running views, the scheduling outcome — is reused.
+//! across rounds (jobs bound to their class at submission, one class
+//! entry set per completion, jobs removed when they finish), and every
+//! per-pass buffer — queue ids, queue refs, running views, the
+//! scheduling outcome — is reused.
 
 use iosched_analytics::service::{AnalyticsConfig, AnalyticsService};
 use iosched_cluster::{ClusterSim, ExecSpec, JobCompletion};
@@ -29,6 +31,7 @@ use iosched_lustre::LustreConfig;
 use iosched_simkit::ids::JobId;
 use iosched_simkit::rng::SimRng;
 use iosched_simkit::series::TimeSeries;
+use iosched_simkit::sym::Sym;
 use iosched_simkit::time::{SimDuration, SimTime};
 use iosched_slurm::policy::NodePolicy;
 use iosched_slurm::{
@@ -120,11 +123,11 @@ pub struct ExperimentConfig {
     /// asynchronously.
     pub burst_buffer_per_node_bytes: f64,
     /// Skip scheduling rounds that are provably identical to the previous
-    /// one (nothing submitted/completed/killed since, no estimate
-    /// refreshed, `now` before the previous round's earliest future
-    /// start, and the policy's tracker build is time-invariant). Outcome
-    /// is bit-identical either way (debug-asserted); only worth disabling
-    /// as a bench baseline.
+    /// one (nothing submitted/completed/killed since — only completions
+    /// change estimates — `now` before the previous round's earliest
+    /// future start, and the policy's tracker build is time-invariant).
+    /// Outcome is bit-identical either way (debug-asserted); only worth
+    /// disabling as a bench baseline.
     pub elide_rounds: bool,
     /// Analytics configuration (EMA decay, measurement window).
     pub analytics: AnalyticsConfig,
@@ -427,12 +430,9 @@ pub fn run_experiment_with_scratch(
     }
 
     // Registry + the immutable job table. Names are interned exactly once
-    // here; everything downstream works with `Sym` handles. `jobs_by_sym`
-    // lists each name's jobs so a completion can refresh the estimates of
-    // the similar jobs still alive.
+    // here; everything downstream works with `Sym` handles.
     let mut registry = JobRegistry::new();
     let mut jobs: Vec<JobEntry> = Vec::with_capacity(workload.len());
-    let mut jobs_by_sym: Vec<Vec<JobId>> = Vec::new();
     for sub in workload {
         let sym = analytics.intern(&sub.name);
         let meta = SchedJob::new(
@@ -446,10 +446,6 @@ pub fn run_experiment_with_scratch(
         .with_after(sub.after.clone())
         .with_name_sym(sym);
         registry.submit(meta.clone());
-        if jobs_by_sym.len() <= sym.0 as usize {
-            jobs_by_sym.resize(sym.0 as usize + 1, Vec::new());
-        }
-        jobs_by_sym[sym.0 as usize].push(sub.id);
         jobs.push(JobEntry {
             meta,
             spec: sub.exec.clone(),
@@ -458,15 +454,19 @@ pub fn run_experiment_with_scratch(
     jobs.sort_unstable_by_key(|e| e.meta.id);
 
     // The persistent estimate book (Algorithm 2, line 1 — incremental):
-    // seeded for every submitted job, refreshed when completions change a
-    // name's prediction, entries dropped as jobs finish. Policies only
-    // query the jobs passed to the round, so the values seen in any round
-    // equal the ones the old rebuild-per-pass snapshot produced.
+    // every submitted job is bound to its name class with the cold-start
+    // fallback, each class entry holds the current prediction, and entries
+    // are dropped as jobs finish. The prediction of a class changes only
+    // when one of its jobs completes, which sets that class entry again,
+    // so the values seen in any round equal a rebuild from the analytics.
     let mut book = EstimateBook::new();
     for e in &jobs {
-        book.insert(
+        let sym = e.meta.name_sym;
+        book.set_class(sym, analytics.class_estimate_sym(sym));
+        book.bind(
             e.meta.id,
-            analytics.job_estimate_sym(e.meta.name_sym, e.meta.limit),
+            sym,
+            analytics.job_estimate_sym(Sym::NONE, e.meta.limit),
         );
     }
 
@@ -515,7 +515,13 @@ pub fn run_experiment_with_scratch(
         guard += 1;
         assert!(
             guard < 50_000_000,
-            "event loop failed to converge (time {now})"
+            "event loop failed to converge (time {now}; {} pending, {} running, \
+             {} resident; next cluster event {:?}, next sample {}, next round {next_sched})",
+            registry.pending_count(),
+            registry.running_count(),
+            registry.pending_count() + registry.running_count(),
+            cluster.next_event_time(),
+            daemon.next_sample_at(),
         );
 
         // Next event: cluster activity, sampling tick, scheduling tick,
@@ -548,18 +554,9 @@ pub fn run_experiment_with_scratch(
             };
             analytics.on_job_complete_sym(&daemon, c.job.0, sym, started, ended);
             book.remove(c.job);
-            // The completion changed this name's prediction; refresh the
-            // book entries of the similar jobs still alive.
-            for &jid in &jobs_by_sym[sym.0 as usize] {
-                if matches!(
-                    registry.state(jid),
-                    Some(iosched_slurm::JobState::Pending)
-                        | Some(iosched_slurm::JobState::Running { .. })
-                ) {
-                    let e = entry(&jobs, jid);
-                    book.insert(jid, analytics.job_estimate_sym(sym, e.meta.limit));
-                }
-            }
+            // The completion changed this name's prediction, which every
+            // similar job still alive reads through its class entry.
+            book.set_class(sym, analytics.class_estimate_sym(sym));
             sched_requested = true;
             round_dirty = true;
         }

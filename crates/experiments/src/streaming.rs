@@ -5,11 +5,11 @@
 //! an **iterator** under a bounded admission window instead of
 //! materialising the whole trace up front. At most `window` jobs are
 //! resident (pending + running) at any instant; a job's bookkeeping —
-//! registry entry, job-table row, estimate-book entry, similarity-list
-//! slot — is created when the job is admitted and torn down when it
-//! completes. Peak memory is therefore bounded by the window (plus the
-//! monitoring store, which is bounded separately via sample retention),
-//! no matter whether the trace holds one thousand jobs or one million.
+//! registry entry, job-table row, estimate-book entry — is created when
+//! the job is admitted and torn down when it completes. Peak memory is
+//! therefore bounded by the window (plus the monitoring store, which is
+//! bounded separately via sample retention), no matter whether the trace
+//! holds one thousand jobs or one million.
 //!
 //! Semantics: with `window ≥` the trace length the replay is the exact
 //! event loop of `run_experiment` (pretraining off, traces not recorded)
@@ -25,6 +25,7 @@ use iosched_core::EstimateBook;
 use iosched_ldms::LdmsDaemon;
 use iosched_simkit::ids::JobId;
 use iosched_simkit::rng::SimRng;
+use iosched_simkit::sym::Sym;
 use iosched_simkit::time::{SimDuration, SimTime};
 use iosched_slurm::{BackfillConfig, JobRegistry, RunningView, SchedJob, SchedulingOutcome};
 use iosched_workloads::JobSubmission;
@@ -125,11 +126,9 @@ pub fn run_streaming(
 
     let mut registry = JobRegistry::new();
     let mut resident: BTreeMap<JobId, Resident> = BTreeMap::new();
-    // Per-name lists of *resident* jobs, so a completion can refresh the
-    // estimates of the similar jobs still alive. Entries are evicted when
-    // jobs retire, keeping each list O(window). The name universe itself
-    // is assumed bounded (SWF traces intern to `swf_p{procs}` classes).
-    let mut jobs_by_sym: Vec<Vec<JobId>> = Vec::new();
+    // Resident jobs read their name class's prediction through the book,
+    // whose per-class table is as large as the name universe — assumed
+    // bounded (SWF traces intern to `swf_p{procs}` classes).
     let mut book = EstimateBook::new();
 
     let mut result = StreamingResult {
@@ -148,7 +147,6 @@ pub fn run_streaming(
     // source is known to be exhausted.
     let mut admit = |registry: &mut JobRegistry,
                      resident: &mut BTreeMap<JobId, Resident>,
-                     jobs_by_sym: &mut Vec<Vec<JobId>>,
                      book: &mut EstimateBook,
                      analytics: &mut AnalyticsService,
                      admitted: &mut u64,
@@ -176,11 +174,12 @@ pub fn run_streaming(
                 .with_priority(sub.priority)
                 .with_name_sym(sym);
             registry.submit(meta.clone());
-            if jobs_by_sym.len() <= sym.0 as usize {
-                jobs_by_sym.resize(sym.0 as usize + 1, Vec::new());
-            }
-            jobs_by_sym[sym.0 as usize].push(sub.id);
-            book.insert(sub.id, analytics.job_estimate_sym(sym, meta.limit));
+            book.set_class(sym, analytics.class_estimate_sym(sym));
+            book.bind(
+                sub.id,
+                sym,
+                analytics.job_estimate_sym(Sym::NONE, meta.limit),
+            );
             resident.insert(
                 sub.id,
                 Resident {
@@ -196,7 +195,6 @@ pub fn run_streaming(
     let mut exhausted = admit(
         &mut registry,
         &mut resident,
-        &mut jobs_by_sym,
         &mut book,
         &mut analytics,
         &mut admitted,
@@ -236,7 +234,13 @@ pub fn run_streaming(
         guard += 1;
         assert!(
             guard < 50_000_000 + 500 * admitted,
-            "event loop failed to converge (time {now})"
+            "event loop failed to converge (time {now}; {} pending, {} running, \
+             {} resident; next cluster event {:?}, next sample {}, next round {next_sched})",
+            registry.pending_count(),
+            registry.running_count(),
+            resident.len(),
+            cluster.next_event_time(),
+            daemon.next_sample_at(),
         );
         result.peak_resident_jobs = result.peak_resident_jobs.max(resident.len());
 
@@ -272,6 +276,7 @@ pub fn run_streaming(
             };
             analytics.on_job_complete_sym(&daemon, c.job.0, sym, started, ended);
             book.remove(c.job);
+            book.set_class(sym, analytics.class_estimate_sym(sym));
             registry.retire(c.job);
             retired_any = true;
             result.jobs_completed += 1;
@@ -279,16 +284,6 @@ pub fn run_streaming(
             let wait = started.saturating_since(entry.meta.submit).as_secs_f64();
             wait_sum_secs += wait;
             result.max_wait_secs = result.max_wait_secs.max(wait);
-            // Refresh the estimates of the similar jobs still resident,
-            // evicting the retired ones from the list as we go.
-            let list = &mut jobs_by_sym[sym.0 as usize];
-            list.retain(|&jid| {
-                let Some(e) = resident.get(&jid) else {
-                    return false;
-                };
-                book.insert(jid, analytics.job_estimate_sym(sym, e.meta.limit));
-                true
-            });
             sched_requested = true;
             round_dirty = true;
         }
@@ -324,7 +319,6 @@ pub fn run_streaming(
             exhausted = admit(
                 &mut registry,
                 &mut resident,
-                &mut jobs_by_sym,
                 &mut book,
                 &mut analytics,
                 &mut admitted,

@@ -154,6 +154,16 @@ impl JobRegistry {
         self.jobs.is_empty()
     }
 
+    /// Number of jobs in `Pending` state (submitted or not yet due).
+    pub fn pending_count(&self) -> usize {
+        self.pending.len()
+    }
+
+    /// Number of jobs in `Running` state.
+    pub fn running_count(&self) -> usize {
+        self.running.len()
+    }
+
     /// Job metadata.
     pub fn meta(&self, id: JobId) -> Option<&SchedJob> {
         self.jobs.get(&id).map(|e| &e.meta)
@@ -557,8 +567,10 @@ mod tests {
         assert_eq!(reg.state(JobId(1)), Some(JobState::Pending));
 
         reg.mark_started(JobId(1), SimTime::from_secs(5));
+        assert_eq!((reg.pending_count(), reg.running_count()), (1, 1));
         reg.mark_completed(JobId(1), SimTime::from_secs(65));
         reg.mark_started(JobId(2), SimTime::from_secs(20));
+        assert_eq!((reg.pending_count(), reg.running_count()), (0, 1));
         assert!(!reg.all_completed());
         reg.mark_completed(JobId(2), SimTime::from_secs(80));
         assert!(reg.all_completed());
