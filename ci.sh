@@ -82,12 +82,26 @@ print_timings() {
 BASELINE_DIR="$(mktemp -d)"
 cp results/bench/BENCH_*.json "$BASELINE_DIR"/
 
+# The figure-contract step regenerates results/fig{3,4,5,6}/ in place;
+# it stashes the committed files in FIG_STASH first, and the trap puts
+# them back.
+FIG_DIRS=(fig3 fig4 fig5 fig6)
+FIG_STASH=""
+
 cleanup() {
     local status=$?
     mkdir -p results/bench/ci-run
     cp -f results/bench/BENCH_*.json results/bench/ci-run/ 2>/dev/null || true
     cp -f "$BASELINE_DIR"/BENCH_*.json results/bench/
     rm -rf "$BASELINE_DIR"
+    if [[ -n "$FIG_STASH" ]]; then
+        local d
+        for d in "${FIG_DIRS[@]}"; do
+            rm -rf "results/$d"
+            cp -R "$FIG_STASH/$d" results/
+        done
+        rm -rf "$FIG_STASH"
+    fi
     print_timings
     exit "$status"
 }
@@ -139,6 +153,39 @@ done
 
 step "determinism gate: two full Workload 1 runs, bit-identical output"
 cargo test --release --offline --test determinism -- --include-ignored
+
+step "figure contract: fig3-fig6 regenerate identical to the committed outputs"
+# The committed results/fig*/ outputs are the simulation core's
+# determinism contract (EXPERIMENTS.md, "Regenerating results"). Rerun
+# every figure binary and compare: every CSV byte for byte, and the
+# fig6 record log as a sorted set of lines (a fresh run appends records
+# in worker-completion order). The log is removed first, or fig6 would
+# replay it instead of running.
+# FIG_STASH is set only once the stash is complete, so the trap never
+# restores from a partial copy.
+fig_stash="$(mktemp -d)"
+for d in "${FIG_DIRS[@]}"; do
+    cp -R "results/$d" "$fig_stash/"
+done
+FIG_STASH="$fig_stash"
+rm results/fig6/records.jsonl
+for fig in "${FIG_DIRS[@]}"; do
+    cargo run --release --offline -q -p iosched-experiments --bin "$fig" >/dev/null
+done
+for d in fig3 fig4 fig5; do
+    diff -rq "$FIG_STASH/$d" "results/$d" >&2 || {
+        echo "figure contract: results/$d differs from the committed CSVs" >&2
+        exit 1
+    }
+done
+cmp -s "$FIG_STASH/fig6/swarm.csv" results/fig6/swarm.csv || {
+    echo "figure contract: results/fig6/swarm.csv differs from the committed file" >&2
+    exit 1
+}
+cmp -s <(LC_ALL=C sort "$FIG_STASH/fig6/records.jsonl") <(LC_ALL=C sort results/fig6/records.jsonl) || {
+    echo "figure contract: results/fig6/records.jsonl differs from the committed records" >&2
+    exit 1
+}
 
 step "bench gate: micro suite within 2x of the committed baseline"
 # Re-measure and gate on >2x min-ns regressions against the committed

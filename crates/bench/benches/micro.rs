@@ -204,6 +204,40 @@ fn main() {
         }
     });
 
+    // The same churn on the 10k-node shape: a 10 005-node × 37 352-OST
+    // constraint block (the x667 machine) holding 475 single-stream
+    // nodes, three OSTs shared by two streams (interference-degraded
+    // capacity, the only constraints that bind) and a wide fabric. A
+    // solve sees ≈950 active constraints of which almost all are slack.
+    let wide_nodes = 15 * 667;
+    let wide_osts = 56 * 667;
+    let n_wide = 475;
+    let wide_cons = wide_nodes + wide_osts + 1;
+    let wide_fabric = (wide_cons - 1) as u32;
+    let wide_ost = |i: usize| if i < 6 { i / 2 } else { i * 78 };
+    let mut wide = WarmSolver::new();
+    wide.reset(wide_cons, 3, 0.45);
+    for c in 0..wide_nodes {
+        wide.set_con_cap(c, 5.0);
+    }
+    for o in 0..wide_osts {
+        wide.set_con_cap(wide_nodes + o, if o < 3 { 0.9 / 1.3 } else { 0.9 });
+    }
+    wide.set_con_cap(wide_cons - 1, 22.0 * 667.0);
+    for i in 0..n_wide {
+        wide.add_flow(&[
+            (i * 21) as u32,
+            (wide_nodes + wide_ost(i)) as u32,
+            wide_fabric,
+        ]);
+    }
+    suite.bench("solver_churn_wide_475_streams/warm_repair", || {
+        wide.remove_flow_swap(0);
+        black_box(wide.solve()[0]);
+        wide.add_flow(&[0, wide_nodes as u32, wide_fabric]);
+        black_box(wide.solve()[0]);
+    });
+
     let mut fs = loaded_fs(80); // 15 × 80 = 1200 streams
     let t0 = fs.now();
     suite.bench("fs_recompute_1200_streams", || {

@@ -171,11 +171,16 @@ impl LustreConfig {
                 return Err(format!("{name} must be positive and finite, got {v}"));
             }
         }
-        if self.interference_gamma < 0.0 {
-            return Err("interference_gamma must be non-negative".into());
-        }
-        if self.noise_sigma < 0.0 {
-            return Err("noise_sigma must be non-negative".into());
+        // `v < 0.0` is false for NaN, so finiteness is checked too; an
+        // infinite γ turns a one-stream OST's capacity into
+        // `b / (1 + ∞·0) = NaN`.
+        for (name, v) in [
+            ("interference_gamma", self.interference_gamma),
+            ("noise_sigma", self.noise_sigma),
+        ] {
+            if v < 0.0 || !v.is_finite() {
+                return Err(format!("{name} must be non-negative and finite, got {v}"));
+            }
         }
         if (self.noise_sigma > 0.0 || self.fatigue_phi > 0.0) && self.noise_epoch.is_zero() {
             return Err("noise_epoch must be positive when noise or fatigue is enabled".into());
@@ -236,6 +241,17 @@ mod tests {
         let mut c = LustreConfig::stria();
         c.fabric_cap_bps = f64::NAN;
         assert!(c.validate().is_err());
+        let mut c = LustreConfig::stria();
+        c.noise_sigma = -0.1;
+        assert!(c.validate().is_err());
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut c = LustreConfig::stria();
+            c.interference_gamma = bad;
+            assert!(c.validate().is_err(), "interference_gamma = {bad} accepted");
+            let mut c = LustreConfig::stria();
+            c.noise_sigma = bad;
+            assert!(c.validate().is_err(), "noise_sigma = {bad} accepted");
+        }
     }
 
     #[test]

@@ -16,11 +16,11 @@
 //! Hot-path layout: streams live in a dense slab (`Vec` + parallel id
 //! vector, `swap_remove` on completion), per-node/per-OST occupancy
 //! counts are maintained incrementally on add/remove, and rate solves go
-//! through a reusable [`IndexedSolver`] — a steady-state
-//! `recompute_rates` performs no heap allocations. The earliest pending
-//! event (completion or release crossing) is cached whenever rates
-//! change, so `next_change_time` is O(1) and the integrator does not
-//! rescan all streams per step.
+//! through a [`WarmSolver`] whose constraint membership is repaired on
+//! every stream join/leave — a steady-state `recompute_rates` performs no
+//! heap allocations. The earliest pending event (completion or release
+//! crossing) is cached whenever rates change, so `next_change_time` is
+//! O(1) and the integrator does not rescan all streams per step.
 
 use crate::config::{LustreConfig, NoiseMode};
 #[cfg(debug_assertions)]
@@ -765,8 +765,14 @@ impl LustreSim {
     /// and volumes. Uses the same ceil-to-millisecond rounding as the
     /// integrator, so advancing to the cached time is guaranteed to
     /// harvest the event (release crossing or completion).
+    ///
+    /// The rounding `secs ↦ now + max(⌈secs · 1000⌉ ms, 1 ms)` is
+    /// monotone, so rounding the smallest `secs` once gives the same time
+    /// as rounding every stream's and taking the earliest. With no
+    /// positive-rate stream `first_secs` stays infinite, the millisecond
+    /// count saturates, and the clamp yields `FAR_FUTURE`.
     fn refresh_next_event(&mut self) {
-        let mut first = SimTime::FAR_FUTURE;
+        let mut first_secs = f64::INFINITY;
         for s in &self.streams {
             if s.rate_bps <= 0.0 {
                 continue;
@@ -778,14 +784,10 @@ impl LustreSim {
             } else {
                 s.remaining_bytes
             };
-            let secs = (target / s.rate_bps).max(0.0);
-            let ms = ((secs * 1000.0).ceil() as u64).max(1);
-            let at = self.now + SimDuration::from_millis(ms);
-            if at < first {
-                first = at;
-            }
+            first_secs = first_secs.min((target / s.rate_bps).max(0.0));
         }
-        self.next_event_at = first;
+        let ms = ((first_secs * 1000.0).ceil() as u64).max(1);
+        self.next_event_at = (self.now + SimDuration::from_millis(ms)).min(SimTime::FAR_FUTURE);
     }
 
     /// Recompute the max-min fair rates for all active streams.
@@ -1368,6 +1370,66 @@ mod tests {
         // Restore.
         fs.set_ost_health(SimTime::from_secs(20), 0, 1.0);
         assert!((fs.total_throughput_bps() - nominal).abs() < 1.0);
+    }
+
+    #[test]
+    fn single_ceil_next_event_matches_per_stream_rounding() {
+        // The per-stream ceil-then-min that `refresh_next_event` replaces
+        // with one rounding of the smallest time.
+        fn per_stream(fs: &LustreSim) -> SimTime {
+            let mut first = SimTime::FAR_FUTURE;
+            for s in &fs.streams {
+                if s.rate_bps <= 0.0 {
+                    continue;
+                }
+                let target = if !s.notified && s.notify_remaining > 0.0 {
+                    (s.remaining_bytes - s.notify_remaining).max(0.0)
+                } else {
+                    s.remaining_bytes
+                };
+                let secs = (target / s.rate_bps).max(0.0);
+                let ms = ((secs * 1000.0).ceil() as u64).max(1);
+                first = first.min(fs.now + SimDuration::from_millis(ms));
+            }
+            first
+        }
+
+        let mut fs = sim(quiet_cfg());
+        fs.start_write_buffered(SimTime::ZERO, StreamTag(1), 0, 3, gib(2.0), gib(0.5));
+        fs.start_write(SimTime::ZERO, StreamTag(2), 1, 4, gib(1.0));
+        fs.advance_to(SimTime::from_millis(1234));
+        fs.refresh_next_event();
+        assert_eq!(fs.next_event_at, per_stream(&fs));
+
+        // Rates from a mix of zero, vanishing (the ms count saturates),
+        // and ordinary values; one stream already at its target.
+        let mut rng = SimRng::from_seed(99);
+        let n = fs.streams.len();
+        for round in 0..500 {
+            for s in fs.streams.iter_mut() {
+                s.rate_bps = match rng.next_u64() % 4 {
+                    0 => 0.0,
+                    1 => 1e-300,
+                    _ => rng.uniform_range(1e3, 1e9),
+                };
+            }
+            if round % 7 == 0 {
+                fs.streams[round % n].remaining_bytes = 0.0;
+            }
+            fs.refresh_next_event();
+            assert_eq!(fs.next_event_at, per_stream(&fs), "round {round}");
+        }
+
+        // No positive-rate stream, or only vanishing ones: FAR_FUTURE.
+        for r in [0.0, 1e-300] {
+            for s in fs.streams.iter_mut() {
+                s.rate_bps = r;
+                s.remaining_bytes = gib(1.0);
+            }
+            fs.refresh_next_event();
+            assert_eq!(fs.next_event_at, SimTime::FAR_FUTURE);
+            assert_eq!(per_stream(&fs), SimTime::FAR_FUTURE);
+        }
     }
 
     #[test]
