@@ -117,6 +117,11 @@ cargo fmt --all --check
 step "lints (clippy, warnings are errors)"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
+step "rustdoc (warnings are errors)"
+# Broken intra-doc links, ambiguous links and public docs pointing at
+# private items all fail here.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 step "hermeticity: no external dependencies in any manifest"
 if grep -En 'serde|rand|proptest|criterion|crossbeam' crates/*/Cargo.toml Cargo.toml; then
     echo "external dependency reference found in a manifest" >&2

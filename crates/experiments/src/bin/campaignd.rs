@@ -1,8 +1,9 @@
 //! `campaignd` — the campaign service.
 //!
-//! Reads one [`CampaignGrid`] JSON spec per stdin line and streams one
-//! `{"kind":"record",...}` line per finished task (completion order)
-//! followed by `{"kind":"done","tasks":N,"medians":[...]}` per grid;
+//! Reads one [`CampaignGrid`](iosched_experiments::CampaignGrid) JSON
+//! spec per stdin line and streams one `{"kind":"record",...}` line per
+//! finished task (completion order) followed by
+//! `{"kind":"done","tasks":N,"medians":[...]}` per grid;
 //! malformed specs yield `{"kind":"error",...}` and the loop continues.
 //!
 //! ```text

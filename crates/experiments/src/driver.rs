@@ -553,6 +553,7 @@ pub fn run_experiment_with_scratch(
                 _ => unreachable!("just marked completed"),
             };
             analytics.on_job_complete_sym(&daemon, c.job.0, sym, started, ended);
+            daemon.retire_job(c.job.0);
             book.remove(c.job);
             // The completion changed this name's prediction, which every
             // similar job still alive reads through its class entry.
@@ -569,6 +570,7 @@ pub fn run_experiment_with_scratch(
                     .cancel_job(now, id)
                     .expect("overrunning job is running");
                 registry.mark_timed_out(id, now);
+                daemon.retire_job(id.0);
                 book.remove(id);
                 // Killed jobs produce no estimator observation: their
                 // measured volume is truncated and would bias r̂/d̂.

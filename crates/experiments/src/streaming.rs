@@ -5,11 +5,12 @@
 //! an **iterator** under a bounded admission window instead of
 //! materialising the whole trace up front. At most `window` jobs are
 //! resident (pending + running) at any instant; a job's bookkeeping —
-//! registry entry, job-table row, estimate-book entry — is created when
-//! the job is admitted and torn down when it completes. Peak memory is
-//! therefore bounded by the window (plus the monitoring store, which is
-//! bounded separately via sample retention), no matter whether the trace
-//! holds one thousand jobs or one million.
+//! registry entry, job-table row, estimate-book entry, sampled-volume
+//! sum — is created when the job is admitted (or first sampled) and torn
+//! down when it completes. Peak memory is therefore bounded by the window
+//! (plus the monitoring store's aggregate series, which are bounded
+//! separately via sample retention), no matter whether the trace holds
+//! one thousand jobs or one million.
 //!
 //! Semantics: with `window ≥` the trace length the replay is the exact
 //! event loop of `run_experiment` (pretraining off, traces not recorded)
@@ -38,9 +39,11 @@ pub struct StreamingOptions {
     /// running) jobs. The scheduler never sees more than this many jobs;
     /// peak driver memory is proportional to it.
     pub window: usize,
-    /// Monitoring-sample retention `(horizon, bucket_ms)`: samples older
-    /// than `horizon` are archived as per-key bucket means. `None` keeps
-    /// every sample (exact, unbounded — what `run_experiment` does).
+    /// Monitoring-sample retention `(horizon, bucket_ms)` for the
+    /// aggregate series (file-system total, busy nodes): samples older
+    /// than `horizon` are archived as bucket means. `None` keeps every
+    /// sample (unbounded — what `run_experiment` does). Job volumes are
+    /// running sums in the daemon, exact under any retention.
     pub retention: Option<(SimDuration, u64)>,
 }
 
@@ -49,8 +52,8 @@ impl Default for StreamingOptions {
         StreamingOptions {
             window: 10_000,
             // One-minute buckets after two hours: recent samples (which
-            // feed the load measurement and most job-volume integrals)
-            // stay exact; ancient history coarsens to bucket means.
+            // feed the load measurement) stay exact; ancient history
+            // coarsens to bucket means.
             retention: Some((SimDuration::from_secs(2 * 3600), 60_000)),
         }
     }
@@ -275,6 +278,7 @@ pub fn run_streaming(
                 _ => unreachable!("just marked completed"),
             };
             analytics.on_job_complete_sym(&daemon, c.job.0, sym, started, ended);
+            daemon.retire_job(c.job.0);
             book.remove(c.job);
             book.set_class(sym, analytics.class_estimate_sym(sym));
             registry.retire(c.job);
@@ -301,6 +305,7 @@ pub fn run_streaming(
                     Some(iosched_slurm::JobState::TimedOut { started, .. }) => started,
                     _ => unreachable!("just marked timed out"),
                 };
+                daemon.retire_job(id.0);
                 book.remove(id);
                 registry.retire(id);
                 retired_any = true;
@@ -488,9 +493,11 @@ mod tests {
         cfg
     }
 
-    /// With a window covering the whole trace and no sample retention,
-    /// the streaming loop is the batch loop: identical makespan, pass
-    /// count and iteration count.
+    /// With a window covering the whole trace the streaming loop is the
+    /// batch loop: identical makespan, pass count and iteration count.
+    /// Sample retention bounds only the aggregate series, so even a
+    /// horizon shorter than many jobs' write phases leaves every job
+    /// volume, and hence every adaptive decision, unchanged.
     #[test]
     fn full_window_matches_run_experiment() {
         for kind in [
@@ -503,22 +510,25 @@ mod tests {
             let cfg = quick_cfg(kind);
             let workload = synth_workload(80, 3);
             let batch = run_experiment(&cfg, &workload);
-            let opts = StreamingOptions {
-                window: workload.len(),
-                retention: None,
-            };
-            let streamed = run_streaming(&cfg, workload.iter().cloned(), &opts);
-            assert_eq!(streamed.jobs_completed as usize, batch.jobs.len());
-            assert_eq!(streamed.makespan_secs, batch.makespan_secs, "{kind:?}");
-            assert_eq!(streamed.sched_passes, batch.sched_passes);
-            assert_eq!(streamed.rounds_elided, batch.rounds_elided);
-            assert_eq!(streamed.loop_iterations, batch.loop_iterations);
             let batch_max_wait = batch
                 .jobs
                 .iter()
                 .map(|j| j.wait().as_secs_f64())
                 .fold(0.0f64, f64::max);
-            assert_eq!(streamed.max_wait_secs, batch_max_wait);
+            for retention in [None, Some((SimDuration::from_secs(60), 10_000))] {
+                let opts = StreamingOptions {
+                    window: workload.len(),
+                    retention,
+                };
+                let streamed = run_streaming(&cfg, workload.iter().cloned(), &opts);
+                let case = format!("{kind:?}, retention {retention:?}");
+                assert_eq!(streamed.jobs_completed as usize, batch.jobs.len());
+                assert_eq!(streamed.makespan_secs, batch.makespan_secs, "{case}");
+                assert_eq!(streamed.sched_passes, batch.sched_passes, "{case}");
+                assert_eq!(streamed.rounds_elided, batch.rounds_elided, "{case}");
+                assert_eq!(streamed.loop_iterations, batch.loop_iterations, "{case}");
+                assert_eq!(streamed.max_wait_secs, batch_max_wait, "{case}");
+            }
         }
     }
 

@@ -9,11 +9,12 @@
 //! * [`store`] — an SOS-like append-only store: named containers of
 //!   time-indexed records with range and windowed-aggregate queries;
 //! * [`daemon`] — the sampling daemon: the experiment driver feeds it the
-//!   file-system load at each sampling tick, and it appends records for
-//!   the aggregate throughput and for every running job's throughput.
+//!   file-system load at each sampling tick; it appends records for the
+//!   aggregate throughput and folds every running job's throughput into
+//!   that job's running volume.
 //!
 //! Keeping monitoring separate matters for fidelity: the analytics crate
-//! estimates job requirements from these *sampled* records (with the
+//! estimates job requirements from these *sampled* rates (with the
 //! sampling-resolution error a real deployment would have), never from
 //! simulator ground truth.
 

@@ -19,7 +19,10 @@
 //! only the matching records: O(log n + hits). The old filter-scan
 //! implementations survive as `#[cfg(test)]` oracles and the property
 //! suite pins the indexed paths to them (same pairing as
-//! `max_min_fair`/`IndexedSolver` in the Lustre model).
+//! `max_min_fair`/`IndexedSolver` in the Lustre model). The sampling
+//! daemon itself stores only key-0 aggregate series; per-job volumes are
+//! running sums kept in [`crate::LdmsDaemon`], with
+//! [`Container::integrate_for_key`] as their test oracle.
 //!
 //! ## Retention
 //!
@@ -406,9 +409,6 @@ iosched_simkit::impl_json_struct!(MetricStore { containers });
 /// Schema name for aggregate file-system throughput samples (key 0,
 /// value = bytes/s).
 pub const SCHEMA_FS_TOTAL: &str = "lustre_fs_total";
-/// Schema name for per-job throughput samples (key = job id,
-/// value = bytes/s).
-pub const SCHEMA_JOB_IO: &str = "lustre_job_io";
 /// Schema name for allocated-node-count samples (key 0, value = nodes).
 pub const SCHEMA_NODES_BUSY: &str = "nodes_busy";
 
@@ -545,12 +545,12 @@ mod tests {
     fn store_routes_schemas() {
         let mut s = MetricStore::new();
         s.append(SCHEMA_FS_TOTAL, rec(0, 0, 5.0));
-        s.append(SCHEMA_JOB_IO, rec(0, 42, 1.0));
+        s.append(SCHEMA_NODES_BUSY, rec(0, 0, 1.0));
         assert_eq!(s.container(SCHEMA_FS_TOTAL).unwrap().len(), 1);
-        assert_eq!(s.container(SCHEMA_JOB_IO).unwrap().len(), 1);
+        assert_eq!(s.container(SCHEMA_NODES_BUSY).unwrap().len(), 1);
         assert!(s.container("absent").is_none());
         let names: Vec<&str> = s.schemas().collect();
-        assert_eq!(names, vec![SCHEMA_FS_TOTAL, SCHEMA_JOB_IO]);
+        assert_eq!(names, vec![SCHEMA_FS_TOTAL, SCHEMA_NODES_BUSY]);
     }
 
     #[test]

@@ -615,7 +615,7 @@ impl WarmSolver {
     ///
     /// **Slack filter.** A constraint of capacity `C` over `m` members is
     /// slack when `C` is finite and exceeds `cap · m` by the margin
-    /// `SLACK_REL · cap · m + SLACK_ABS` (see [`is_slack`]). The level
+    /// `SLACK_REL · cap · m + SLACK_ABS` (see `is_slack`). The level
     /// never exceeds `cap` (it is `min`-ed with it every round) and no
     /// rate exceeds the level, so a slack constraint's residual stays
     /// above `C − cap · m`, i.e. above the margin, less the float

@@ -7,8 +7,8 @@
 //! trajectory is tracked across PRs.
 //!
 //! Methodology: each benchmark is calibrated to a per-sample iteration
-//! count targeting [`TARGET_SAMPLE_NANOS`] of work, then timed for
-//! [`SAMPLES`] samples after one warmup; the JSON records min/median/mean
+//! count targeting `TARGET_SAMPLE_NANOS` of work, then timed for
+//! `SAMPLES` samples after one warmup; the JSON records min/median/mean
 //! ns-per-iteration. Passing `--smoke` (the CI gate does) collapses this
 //! to one iteration and one sample — a "does it run and emit JSON" check,
 //! not a measurement.

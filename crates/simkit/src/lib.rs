@@ -26,7 +26,7 @@
 //!   [`ToJson`]/[`FromJson`] impl macros (replaces `serde`);
 //! * [`prop`] — a seeded property-testing harness with bounded shrinking
 //!   and the [`props!`] macro (replaces `proptest`);
-//! * [`bench`] — a micro-benchmark harness emitting `BENCH_*.json`
+//! * [`bench`](mod@bench) — a micro-benchmark harness emitting `BENCH_*.json`
 //!   (replaces `criterion`);
 //! * [`rng`] itself is an in-repo xoshiro256++ (replaces `rand`).
 //!

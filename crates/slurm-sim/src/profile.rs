@@ -26,7 +26,7 @@
 //!
 //! * [`ResourceProfile::reserve`] edits the breakpoint vector with
 //!   `insert_delta` (accumulate in place, insert, or drop a breakpoint
-//!   that cancels to within [`eps_for`] of zero) and then only lowers the
+//!   that cancels to within `eps_for` of zero) and then only lowers the
 //!   watermark to the first edited breakpoint;
 //! * every query binary-searches its start instant, extends the fold on
 //!   demand as far as it reads, and scans the stored values.
@@ -211,7 +211,7 @@ impl ResourceProfile {
     /// (call) order, so every stored delta is bit-identical to the insert
     /// path's — asserted against a pooled insert-path replay in debug
     /// builds. Near-zero sums drop the breakpoint with the same
-    /// [`eps_for`] tolerance as `insert_delta`: a running total landing
+    /// `eps_for` tolerance as `insert_delta`: a running total landing
     /// within `eps` deletes the entry, so the next delta at that instant
     /// restarts the accumulation fresh (bitwise what the insert path
     /// computes). Then folds the whole profile once and records its peak.

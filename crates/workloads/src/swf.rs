@@ -68,6 +68,13 @@ impl Default for SwfOptions {
     }
 }
 
+/// Largest submit, run or requested time, in seconds, that a trace line
+/// may carry: 2^40 s, about 35 000 years. Simulated times are `u64`
+/// milliseconds; the bound keeps every field's conversion, and
+/// `submit + limit` in the event loop, far below overflow and below
+/// [`SimTime::FAR_FUTURE`]. Lines past it are malformed.
+pub const MAX_SWF_SECS: i64 = 1 << 40;
+
 /// The scheduling-relevant integer fields of one SWF record, exactly as
 /// they appear on a trace line. [`parse_swf`] extracts one per line;
 /// the synthetic generator ([`crate::synth`]) emits them directly, so
@@ -104,11 +111,25 @@ impl SwfRecord {
         )
     }
 
+    /// The first time field above [`MAX_SWF_SECS`], as its 1-based SWF
+    /// field number and name.
+    fn out_of_range_field(&self) -> Option<(usize, &'static str)> {
+        [
+            (2, "submit time", self.submit),
+            (4, "run time", self.run_time),
+            (9, "requested time", self.requested),
+        ]
+        .into_iter()
+        .find(|&(_, _, secs)| secs > MAX_SWF_SECS)
+        .map(|(field, name, _)| (field, name))
+    }
+
     /// Convert to a [`JobSubmission`] under `opts`. Returns `None` for
     /// invalid (cancelled) records — the caller decides whether that is a
-    /// skip or an error.
+    /// skip or an error — and for records with a time above
+    /// [`MAX_SWF_SECS`], which the trace parsers report as malformed.
     pub fn to_submission(&self, opts: &SwfOptions) -> Option<JobSubmission> {
-        if !self.is_valid() {
+        if !self.is_valid() || self.out_of_range_field().is_some() {
             return None;
         }
         let procs = self.procs;
@@ -215,6 +236,12 @@ fn parse_swf_line(
             .and_then(|s| s.parse::<i64>().ok())
             .unwrap_or(-1),
     };
+    if let Some((field, name)) = record.out_of_range_field() {
+        return Err(SwfError {
+            line: line_no,
+            message: format!("field {field} ({name}) exceeds {MAX_SWF_SECS} s"),
+        });
+    }
     match record.to_submission(opts) {
         Some(job) => Ok(Some(job)),
         None if opts.skip_invalid => Ok(None),
@@ -439,6 +466,96 @@ mod tests {
             ..SwfOptions::default()
         };
         assert_eq!(parse_swf(text, &opts).unwrap_err().line, 1);
+    }
+
+    /// A line whose submit, run or requested time would overflow the
+    /// millisecond clock is malformed (in both build profiles: the check
+    /// runs before any conversion), fatal by default and skipped under
+    /// `skip_malformed`.
+    fn huge_time_lines() -> [(usize, String); 3] {
+        let big = i64::MAX;
+        [
+            (
+                2,
+                format!("9 {big} 0 10 1 -1 -1 1 20 -1 1 1 1 1 1 -1 -1 -1"),
+            ),
+            (4, format!("9 0 0 {big} 1 -1 -1 1 20 -1 1 1 1 1 1 -1 -1 -1")),
+            (9, format!("9 0 0 10 1 -1 -1 1 {big} -1 1 1 1 1 1 -1 -1 -1")),
+        ]
+    }
+
+    #[test]
+    fn times_past_the_clock_range_are_malformed() {
+        let good = "1 0 0 10 1 -1 -1 1 20 -1 1 1 1 1 1 -1 -1 -1";
+        for (field, bad) in huge_time_lines() {
+            let text = format!("{good}\n{bad}\n{good}\n");
+            let err = parse_swf(&text, &SwfOptions::default()).unwrap_err();
+            assert_eq!(err.line, 2);
+            assert!(
+                err.message.starts_with(&format!("field {field} ")),
+                "{}",
+                err.message
+            );
+            let lenient = SwfOptions {
+                skip_malformed: true,
+                ..SwfOptions::default()
+            };
+            assert_eq!(parse_swf(&text, &lenient).unwrap().len(), 2);
+        }
+    }
+
+    #[test]
+    fn reader_reports_times_past_the_clock_range() {
+        let good = "1 0 0 10 1 -1 -1 1 20 -1 1 1 1 1 1 -1 -1 -1";
+        for (field, bad) in huge_time_lines() {
+            let text = format!("{good}\n{bad}\n{good}\n");
+            // Strict: the bad line is yielded once, then the reader fuses.
+            let items: Vec<_> = SwfReader::new(text.as_bytes(), SwfOptions::default()).collect();
+            assert_eq!(items.len(), 2);
+            assert!(items[0].is_ok());
+            let err = items[1].as_ref().unwrap_err();
+            assert_eq!(err.line, 2);
+            assert!(err.message.starts_with(&format!("field {field} ")));
+            // Lenient: the error is reported and the next line still parses.
+            let lenient = SwfOptions {
+                skip_malformed: true,
+                ..SwfOptions::default()
+            };
+            let items: Vec<_> = SwfReader::new(text.as_bytes(), lenient).collect();
+            assert_eq!(items.len(), 3);
+            assert_eq!(items[1].as_ref().unwrap_err().line, 2);
+            assert!(items[2].is_ok());
+        }
+    }
+
+    #[test]
+    fn clock_range_boundary() {
+        let line = |submit: i64, run: i64, req: i64| {
+            format!("1 {submit} 0 {run} 1 -1 -1 1 {req} -1 1 1 1 1 1 -1 -1 -1")
+        };
+        let max = MAX_SWF_SECS;
+        let jobs = parse_swf(&line(max, max, max), &SwfOptions::default()).unwrap();
+        assert_eq!(jobs[0].submit, SimTime::from_secs(max as u64));
+        assert_eq!(jobs[0].limit, SimDuration::from_secs(max as u64));
+        // Submit plus limit stays below the far-future sentinel.
+        assert!(jobs[0].submit + jobs[0].limit < SimTime::FAR_FUTURE);
+        for text in [
+            line(max + 1, 10, 20),
+            line(0, max + 1, 20),
+            line(0, 10, max + 1),
+        ] {
+            assert!(parse_swf(&text, &SwfOptions::default()).is_err(), "{text}");
+        }
+        // Direct conversion declines rather than wrapping.
+        let rec = SwfRecord {
+            job_no: 1,
+            submit: i64::MAX,
+            run_time: 10,
+            procs: 1,
+            requested: 20,
+        };
+        assert!(rec.is_valid());
+        assert!(rec.to_submission(&SwfOptions::default()).is_none());
     }
 
     #[test]
